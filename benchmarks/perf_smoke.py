@@ -3,7 +3,7 @@
 
 Times a fixed two-arm campaign under three configurations and writes the
 trajectory to ``BENCH_campaign.json`` in a stable schema
-(``repro.bench_campaign/2``) so successive PRs can track execution-layer
+(``repro.bench_campaign/3``) so successive PRs can track execution-layer
 speedups and regressions per commit:
 
 * ``serial_cold``  — executor="serial", no cache (the reference run);
@@ -11,16 +11,10 @@ speedups and regressions per commit:
 * ``process_warm`` — same campaign again on the now-warm cache (must
   perform zero engine case executions).
 
-Schema ``/2`` adds a ``vm_vs_tree`` stage comparing the bytecode VM
-against the reference tree-walking interpreter over the workload's
-sources: compile cost, repeated-execution wall time per engine, the
-resulting speedup, and a hard ``vm_matches_tree`` byte-identity gate
-(kind, span, stdout, and step counts must agree in both collect modes).
-
 Wall-clock numbers are environment-dependent and NOT asserted; the
 ``checks`` are hard correctness gates (byte-identical arms across
-backends, pure replay on a warm cache, VM byte-identical to the
-tree-walker) and the script exits non-zero if any fails.
+backends, pure replay on a warm cache) and the script exits non-zero if
+any fails.
 
 Run:  PYTHONPATH=src python benchmarks/perf_smoke.py [OUTPUT.json]
 """
@@ -44,10 +38,8 @@ CATEGORIES = [UbKind.UNINIT, UbKind.PANIC, UbKind.DANGLING_POINTER]
 SEED = 3
 WORKERS = 4
 SHARD_SIZE = 4
-#: Repeated-execution sweeps for the vm_vs_tree stage (amortizes noise).
-EXEC_SWEEPS = 5
 
-SCHEMA = "repro.bench_campaign/2"
+SCHEMA = "repro.bench_campaign/3"
 DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_campaign.json"
 
 
@@ -84,95 +76,6 @@ def _run_entry(name: str, executor: str, workers: int, cached: bool,
     }
 
 
-def _vm_vs_tree_stage(dataset) -> dict:
-    """Compare the bytecode VM with the tree-walker on this workload.
-
-    Measures one-time compile cost, repeated-execution wall time per
-    engine (``EXEC_SWEEPS`` sweeps over every buggy and fixed source),
-    and runs the hard byte-identity gate: every source through both
-    engines in both collect modes via
-    :func:`repro.miri.vm.check_divergence`.
-    """
-    from repro.lang.parser import parse_program
-    from repro.miri.bytecode import compile_program
-    from repro.miri.interp import run_program
-    from repro.miri.vm import check_divergence
-
-    sources = [case.source for case in dataset.cases] + \
-        [case.fixed_source for case in dataset.cases]
-    programs = [parse_program(source) for source in sources]
-
-    start = time.perf_counter()
-    compiled = [compile_program(program, source)
-                for program, source in zip(programs, sources)]
-    compile_seconds = time.perf_counter() - start
-
-    # Warm both engines once, then time repeated execution sweeps.
-    for program in programs:
-        run_program(program, engine="tree")
-    for program, unit in zip(programs, compiled):
-        run_program(program, engine="vm", compiled=unit)
-    start = time.perf_counter()
-    for _ in range(EXEC_SWEEPS):
-        for program in programs:
-            run_program(program, engine="tree")
-    tree_seconds = (time.perf_counter() - start) / EXEC_SWEEPS
-    start = time.perf_counter()
-    for _ in range(EXEC_SWEEPS):
-        for program, unit in zip(programs, compiled):
-            run_program(program, engine="vm", compiled=unit)
-    vm_seconds = (time.perf_counter() - start) / EXEC_SWEEPS
-
-    # The production hot path: detect_ub over already-seen source text.
-    # The VM's compile memo skips the parse and the per-run AST clone the
-    # tree engine pays on every detect, which is where its edge lives.
-    from repro.miri import detect_ub
-    detect_seconds = {}
-    for engine in ("tree", "vm"):
-        for source in sources:
-            detect_ub(source, engine=engine)
-        start = time.perf_counter()
-        for _ in range(EXEC_SWEEPS):
-            for source in sources:
-                detect_ub(source, engine=engine)
-        detect_seconds[engine] = \
-            (time.perf_counter() - start) / EXEC_SWEEPS
-
-    divergences = []
-    for index, source in enumerate(sources):
-        for collect in (False, True):
-            divergence = check_divergence(source, f"bench[{index}]",
-                                          collect=collect)
-            if divergence is not None:
-                divergences.append(divergence)
-
-    # Runs of one compiled program needed before the compile pays for
-    # itself against tree execution (None when the VM sweep is not
-    # faster — the compile then never amortizes on pure re-execution).
-    per_run_saving = (tree_seconds - vm_seconds) / len(sources)
-    per_compile = compile_seconds / len(sources)
-    amortize_after = (round(per_compile / per_run_saving, 1)
-                      if per_run_saving > 0 else None)
-
-    return {
-        "sources": len(sources),
-        "exec_sweeps": EXEC_SWEEPS,
-        "compile_seconds": round(compile_seconds, 4),
-        "tree_exec_seconds": round(tree_seconds, 4),
-        "vm_exec_seconds": round(vm_seconds, 4),
-        "exec_speedup": round(tree_seconds / vm_seconds, 3)
-        if vm_seconds > 0 else None,
-        "tree_detect_seconds": round(detect_seconds["tree"], 4),
-        "vm_detect_seconds": round(detect_seconds["vm"], 4),
-        "detect_speedup": round(detect_seconds["tree"]
-                                / detect_seconds["vm"], 3)
-        if detect_seconds["vm"] > 0 else None,
-        "compile_amortized_after_runs": amortize_after,
-        "divergences": [d.render() for d in divergences[:5]],
-        "vm_matches_tree": not divergences,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out_path = pathlib.Path(argv[0]) if argv else DEFAULT_OUT
@@ -187,15 +90,12 @@ def main(argv: list[str] | None = None) -> int:
         warm, warm_secs = _timed_run(dataset, executor="process",
                                      workers=WORKERS, cache=cache)
 
-    vm_vs_tree = _vm_vs_tree_stage(dataset)
-
     total = sum(len(arm.reports) for arm in serial.arms)
     checks = {
         "process_matches_serial": _arm_payload(cold) == _arm_payload(serial),
         "warm_zero_executions":
             warm.telemetry.cache_counts() == (total, 0)
             and _arm_payload(warm) == _arm_payload(cold),
-        "vm_matches_tree": vm_vs_tree["vm_matches_tree"],
     }
     payload = {
         "schema": SCHEMA,
@@ -221,7 +121,6 @@ def main(argv: list[str] | None = None) -> int:
             "warm_vs_cold": round(cold_secs / warm_secs, 3)
             if warm_secs > 0 else None,
         },
-        "vm_vs_tree": vm_vs_tree,
         "checks": checks,
     }
 
@@ -233,12 +132,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {run['name']:13s} {run['wall_seconds']:8.3f}s  "
               f"cache {run['cache_hits']}h/{run['cache_misses']}m")
     print(f"  speedups: {payload['speedups']}  checks: {checks}")
-    print(f"  vm_vs_tree: exec {vm_vs_tree['tree_exec_seconds']:.4f}s tree "
-          f"/ {vm_vs_tree['vm_exec_seconds']:.4f}s vm "
-          f"(x{vm_vs_tree['exec_speedup']}), detect "
-          f"x{vm_vs_tree['detect_speedup']}, compile "
-          f"{vm_vs_tree['compile_seconds']:.4f}s, matches="
-          f"{vm_vs_tree['vm_matches_tree']}")
     if not all(checks.values()):
         print("perf smoke FAILED correctness checks", file=sys.stderr)
         return 1

@@ -198,15 +198,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     except (SpecError, UnknownEngineError, ValueError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    previous_exec = None
-    if args.engine_exec is not None:
-        from .miri import set_default_engine
-        previous_exec = set_default_engine(args.engine_exec)
-    try:
-        outcome = _run_with_deadline(engine, source, timeout_seconds)
-    finally:
-        if previous_exec is not None:
-            set_default_engine(previous_exec)
+    outcome = _run_with_deadline(engine, source, timeout_seconds)
     if outcome is None:
         print(f"== repair FAILED: timed out after {timeout_seconds:g}s ==")
         return 1
@@ -647,12 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="abandon the repair after S wall-clock "
                                "seconds (exit 1); shares the server's "
                                "per-request deadline validation")
-    p_repair.add_argument("--engine-exec", choices=("vm", "tree"),
-                          default=None, dest="engine_exec",
-                          help="interpreter backend for every detector run "
-                               "this repair makes: the bytecode vm "
-                               "(default) or the reference tree-walker, "
-                               "for divergence triage")
     p_repair.set_defaults(fn=_cmd_repair)
 
     p_dataset = sub.add_parser("dataset", help="list the UB corpus")

@@ -78,8 +78,8 @@ def walk(node: "Node"):
 
     Handles plain child nodes, lists of nodes, and lists of tuples that
     contain nodes (e.g. ``StructLit.fields`` is ``list[tuple[str, Expr]]``).
-    Iterative with an explicit stack: every rewrite probe, fingerprint, and
-    bytecode compile traverses with this, and nested ``yield from`` frames
+    Iterative with an explicit stack: every rewrite probe, pruning pass,
+    and fingerprint traverses with this, and nested ``yield from`` frames
     dominated it.
     """
     stack = [node]

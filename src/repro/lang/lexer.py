@@ -8,9 +8,9 @@ operators used in real Rust code (``::``, ``->``, ``..=``, shifts, compound
 assignments, ...).
 
 The scanner body is a single loop over local variables rather than
-per-character helper methods: tokenization sits under every parse,
-fingerprint, and bytecode compile, so the campaign cold path is directly
-proportional to this loop.
+per-character helper methods: tokenization sits under every parse and
+every fingerprint, so the campaign cold path is directly proportional to
+this loop.
 """
 
 from __future__ import annotations

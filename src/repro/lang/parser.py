@@ -804,6 +804,8 @@ def _unescape(text: str) -> str:
 
 @lru_cache(maxsize=512)
 def _parse_program_cached(source: str) -> ast.Program:
+    """The memo's own tree, shared by every caller: the detector
+    interprets it uncloned, so nothing may write to it."""
     return Parser(source).parse_program()
 
 

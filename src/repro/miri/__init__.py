@@ -39,17 +39,10 @@ import threading
 from dataclasses import dataclass, field
 
 from ..lang import ast_nodes as ast
-from ..lang.parser import ParseError, parse_program
+from ..lang.parser import ParseError, _parse_program_cached
 from .errors import MiriError, MiriReport, UbKind, PAPER_CATEGORIES
 from .fingerprint import FINGERPRINT_VERSION, source_fingerprint
-from .interp import (
-    DEFAULT_FUEL,
-    ENGINES,
-    Interpreter,
-    resolve_engine,
-    run_program,
-    set_default_engine,
-)
+from .interp import DEFAULT_FUEL, Interpreter, run_program
 
 
 @dataclass
@@ -66,12 +59,6 @@ class DetectorStats:
     for the rest), and ``case_memo_hits`` the requests answered by the
     process-wide :data:`CASE_MEMO`.
 
-    The engine split (PR 10) adds ``compiles`` — bytecode compilations
-    actually performed (the :func:`repro.miri.bytecode.compile_source`
-    memo makes this much smaller than ``runs``; the gap is the VM's
-    compile-once amortization) — and ``vm_runs``, the subset of ``runs``
-    the bytecode VM executed (``runs - vm_runs`` ran the tree-walker).
-
     Counters are lock-guarded: every bump goes through :meth:`record`, so
     concurrent detector calls (ensemble member waves, the repair
     service's worker threads) never lose increments, and
@@ -84,22 +71,17 @@ class DetectorStats:
     runs: int = 0
     fingerprint_hits: int = 0
     case_memo_hits: int = 0
-    compiles: int = 0
-    vm_runs: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
     def record(self, *, requests: int = 0, runs: int = 0,
-               fingerprint_hits: int = 0, case_memo_hits: int = 0,
-               compiles: int = 0, vm_runs: int = 0) -> None:
+               fingerprint_hits: int = 0, case_memo_hits: int = 0) -> None:
         """Atomically add to any subset of the counters."""
         with self._lock:
             self.requests += requests
             self.runs += runs
             self.fingerprint_hits += fingerprint_hits
             self.case_memo_hits += case_memo_hits
-            self.compiles += compiles
-            self.vm_runs += vm_runs
 
     def snapshot(self) -> dict:
         """An internally consistent copy of every counter."""
@@ -109,8 +91,6 @@ class DetectorStats:
                 "runs": self.runs,
                 "fingerprint_hits": self.fingerprint_hits,
                 "case_memo_hits": self.case_memo_hits,
-                "compiles": self.compiles,
-                "vm_runs": self.vm_runs,
             }
 
     def reset(self) -> None:
@@ -119,8 +99,6 @@ class DetectorStats:
             self.runs = 0
             self.fingerprint_hits = 0
             self.case_memo_hits = 0
-            self.compiles = 0
-            self.vm_runs = 0
 
 
 #: The process-wide counter instance every detector call updates.
@@ -128,31 +106,17 @@ DETECTOR_STATS = DetectorStats()
 
 
 def _detect(source: str | ast.Program, collect: bool, max_errors: int,
-            fuel: int, debug: bool = False,
-            engine: str | None = None) -> MiriReport:
-    """One detector execution (parse/compile if needed, then interpret).
+            fuel: int, debug: bool = False) -> MiriReport:
+    """One detector execution (parse if needed, then interpret).
 
-    Under the default ``vm`` engine, string sources compile through the
-    :func:`repro.miri.bytecode.compile_source` memo — a hit skips the
-    parse *and* the per-run AST clone, which is where the VM's cold-start
-    speedup comes from.  A compiler failure (a bug in the lowering, never
-    a property of the program) falls back to the tree-walker so the
-    detector's answer is always the reference answer.
+    String sources run on the parse memo's own tree, uncloned: the
+    interpreter never writes to the AST, so every detector call (and
+    every service worker thread) can share one tree per distinct source,
+    and a memo hit costs neither a parse nor a clone.
     """
-    engine = resolve_engine(engine)
-    compiled = None
     if isinstance(source, str):
         try:
-            if engine == "vm":
-                from .bytecode import BytecodeError, compile_source
-                try:
-                    compiled = compile_source(source)
-                except BytecodeError:
-                    engine = "tree"
-            if compiled is not None:
-                program = compiled.program
-            else:
-                program = parse_program(source)
+            program = _parse_program_cached(source)
         except ParseError as err:
             report = MiriReport()
             report.errors.append(MiriError(
@@ -165,15 +129,14 @@ def _detect(source: str | ast.Program, collect: bool, max_errors: int,
             return report
     else:
         program = source
-    DETECTOR_STATS.record(runs=1, vm_runs=1 if engine == "vm" else 0)
+    DETECTOR_STATS.record(runs=1)
     return run_program(program, collect=collect, max_errors=max_errors,
-                       fuel=fuel, debug=debug, engine=engine,
-                       compiled=compiled)
+                       fuel=fuel, debug=debug)
 
 
 def detect_ub(source: str | ast.Program, *, collect: bool = False,
               max_errors: int = 8, fuel: int = DEFAULT_FUEL,
-              debug: bool = False, engine: str | None = None) -> MiriReport:
+              debug: bool = False) -> MiriReport:
     """Run the detector over ``source`` (text or already-parsed program).
 
     ``collect=True`` enables error-collection mode: instead of stopping at the
@@ -181,20 +144,14 @@ def detect_ub(source: str | ast.Program, *, collect: bool = False,
     error, skips the offending statement, and keeps going — this is what gives
     RustBrain's rollback mechanism a meaningful per-iteration error *count*
     (the ``n_i`` sequences of §III-B2).
-
-    ``engine="vm"`` (the default) executes compiled bytecode;
-    ``engine="tree"`` forces the tree-walking reference interpreter.
-    Reports are byte-identical either way — the switch exists for
-    divergence triage, never for correctness.
     """
     DETECTOR_STATS.record(requests=1)
-    return _detect(source, collect, max_errors, fuel, debug, engine)
+    return _detect(source, collect, max_errors, fuel, debug)
 
 
 def detect_ub_batch(sources, *, collect: bool = False, max_errors: int = 8,
                     fuel: int = DEFAULT_FUEL, debug: bool = False,
-                    fingerprint: bool = True,
-                    engine: str | None = None) -> list[MiriReport]:
+                    fingerprint: bool = True) -> list[MiriReport]:
     """Run the detector over many candidate sources in one call.
 
     Returns one :class:`~repro.miri.errors.MiriReport` per source, in
@@ -221,8 +178,7 @@ def detect_ub_batch(sources, *, collect: bool = False, max_errors: int = 8,
     for source in sources:
         DETECTOR_STATS.record(requests=1)
         if not isinstance(source, str):
-            reports.append(_detect(source, collect, max_errors, fuel, debug,
-                                   engine))
+            reports.append(_detect(source, collect, max_errors, fuel, debug))
             continue
         report = memo.get(source)
         if report is not None:
@@ -235,7 +191,7 @@ def detect_ub_batch(sources, *, collect: bool = False, max_errors: int = 8,
             memo[source] = report
             reports.append(report.copy())
             continue
-        report = _detect(source, collect, max_errors, fuel, debug, engine)
+        report = _detect(source, collect, max_errors, fuel, debug)
         memo[source] = report
         if fp is not None:
             fp_memo[fp] = report
@@ -291,8 +247,7 @@ CASE_MEMO = CaseMemo()
 
 
 def detect_case(source: str, *, collect: bool = False, max_errors: int = 8,
-                fuel: int = DEFAULT_FUEL,
-                engine: str | None = None) -> MiriReport:
+                fuel: int = DEFAULT_FUEL) -> MiriReport:
     """Detection for *case-level* queries, memoized process-wide.
 
     Engines run F1 detection — and ``switch`` ensembles their routing
@@ -306,13 +261,12 @@ def detect_case(source: str, *, collect: bool = False, max_errors: int = 8,
     (``DETECTOR_STATS.case_memo_hits`` counts the savings).
     """
     DETECTOR_STATS.record(requests=1)
-    engine = resolve_engine(engine)
     if not CASE_MEMO.enabled:
-        return _detect(source, collect, max_errors, fuel, False, engine)
-    key = (source, collect, max_errors, fuel, engine)
+        return _detect(source, collect, max_errors, fuel)
+    key = (source, collect, max_errors, fuel)
     report = CASE_MEMO.lookup(key)
     if report is None:
-        report = _detect(source, collect, max_errors, fuel, False, engine)
+        report = _detect(source, collect, max_errors, fuel)
         CASE_MEMO.store(key, report.copy())
         return report
     DETECTOR_STATS.record(case_memo_hits=1)
@@ -432,7 +386,6 @@ __all__ = [
     "DEFAULT_FUEL",
     "DETECTOR_STATS",
     "DetectorStats",
-    "ENGINES",
     "FINGERPRINT_VERSION",
     "Interpreter",
     "MiriError",
@@ -443,8 +396,6 @@ __all__ = [
     "detect_ub",
     "detect_ub_batch",
     "error_count",
-    "resolve_engine",
     "run_program",
-    "set_default_engine",
     "source_fingerprint",
 ]

@@ -15,7 +15,6 @@ a :class:`CompileError` — exactly what a hallucinated repair that deletes an
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 from ..lang import ast_nodes as ast
@@ -65,13 +64,11 @@ from .values import (
 DEFAULT_FUEL = 1_000_000
 
 #: Explicit interpreter call-depth ceiling (user fns, closures, spawned
-#: thread bodies).  The tree-walker and the bytecode VM consume very
-#: different numbers of *Python* frames per interpreted call, so relying
-#: on ``sys.getrecursionlimit()`` would make "stack overflow" fire at
-#: engine-dependent interpreted depths (and step counts).  An explicit
-#: counter raises :class:`RecursionError` at the identical interpreted
-#: depth under both engines; the ceiling is low enough that the
-#: tree-walker hits it before CPython's own limit does.
+#: thread bodies).  Counting interpreted calls makes "stack overflow"
+#: fire at a fixed interpreted depth (and step count), independent of
+#: CPython's recursion limit and of how many Python frames each
+#: interpreted call happens to consume; the ceiling is low enough that
+#: it is always hit before CPython's own limit.
 MAX_CALL_DEPTH = 56
 
 _UNSAFE_SHIMS = {
@@ -189,42 +186,9 @@ class MutexRecord:
     locked: bool = False
 
 
-#: Execution engines ``run_program`` can route to.
-ENGINES = ("vm", "tree")
-
-#: Process default, overridable per call via ``engine=`` or globally via
-#: :func:`set_default_engine` / the ``REPRO_MIRI_ENGINE`` environment
-#: variable (the escape hatch when triaging a suspected VM divergence).
-DEFAULT_ENGINE = os.environ.get("REPRO_MIRI_ENGINE", "vm")
-if DEFAULT_ENGINE not in ENGINES:  # pragma: no cover - env misconfiguration
-    DEFAULT_ENGINE = "vm"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine; returns the previous one."""
-    global DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of "
-                         f"{', '.join(ENGINES)})")
-    previous = DEFAULT_ENGINE
-    DEFAULT_ENGINE = engine
-    return previous
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Validate an ``engine=`` argument, applying the process default."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of "
-                         f"{', '.join(ENGINES)})")
-    return engine
-
-
 def run_program(program: ast.Program, *, fuel: int = DEFAULT_FUEL,
                 collect: bool = False, max_errors: int = 8,
-                debug: bool = False, engine: str | None = None,
-                compiled=None) -> MiriReport:
+                debug: bool = False) -> MiriReport:
     """Construct-and-run one interpreter over ``program``.
 
     The single execution point shared by :func:`repro.miri.detect_ub` and
@@ -232,28 +196,10 @@ def run_program(program: ast.Program, *, fuel: int = DEFAULT_FUEL,
     hangs off calls to this function, so batched verification can prove it
     executes strictly fewer interpreters than one-call-per-candidate.
 
-    ``engine`` picks the bytecode VM (``"vm"``, the default) or the
-    tree-walking reference (``"tree"``); reports are byte-identical
-    (gated by ``tests/miri/test_differential.py``).  ``compiled`` passes
-    an already-compiled program so memoized callers skip recompilation;
-    if compilation itself fails (a compiler bug, never a program
-    property) the run falls back to the tree engine rather than
-    misreporting.
+    The interpreter never writes to ``program``, so callers may hand it a
+    tree shared with other readers (the detector runs the parse memo's
+    tree directly; ``tests/miri/test_differential.py`` gates this).
     """
-    engine = resolve_engine(engine)
-    if engine == "vm":
-        # Imported lazily: vm/bytecode import this module at load time.
-        from .bytecode import BytecodeError, compile_program
-        from .vm import VM
-        if compiled is None:
-            try:
-                compiled = compile_program(program)
-            except BytecodeError:
-                compiled = None
-        if compiled is not None:
-            vm = VM(compiled, fuel=fuel, collect=collect,
-                    max_errors=max_errors, debug=debug)
-            return vm.run()
     interp = Interpreter(program, fuel=fuel, collect=collect,
                          max_errors=max_errors, debug=debug)
     return interp.run()
@@ -364,10 +310,10 @@ class Interpreter:
     def _init_consts_and_statics(self) -> None:
         for item in self.program.items:
             if isinstance(item, ast.ConstItem):
-                value = self._eval_item_init(item)
+                value = self.eval_expr(item.init, self.globals, tid=0)
                 self.consts[item.name] = value
             elif isinstance(item, ast.StaticItem):
-                value = self._eval_item_init(item)
+                value = self.eval_expr(item.init, self.globals, tid=0)
                 static_ty = item.ty or self.type_of_value(value)
                 size = ty.size_of(static_ty, self.memory.structs)
                 align = ty.align_of(static_ty, self.memory.structs)
@@ -381,11 +327,6 @@ class Interpreter:
                                                      item.mutable))
                 if item.mutable:
                     self._static_mut.add(item.name)
-
-    def _eval_item_init(self, item) -> Value:
-        """Evaluate one const/static initializer (the VM overrides this to
-        run the item's compiled init code instead of walking the tree)."""
-        return self.eval_expr(item.init, self.globals, tid=0)
 
     def _check_thread_leaks(self) -> None:
         for record in self.threads.values():
@@ -556,17 +497,13 @@ class Interpreter:
         try:
             if self._call_depth > MAX_CALL_DEPTH:
                 raise RecursionError("interpreter call depth exceeded")
-            result = self._eval_fn_body(fn, env, tid)
+            result = self.eval_block(fn.body, env, tid)
         except _Return as ret:
             result = ret.value
         finally:
             self._call_depth -= 1
             self.unsafe_depth = saved_unsafe
         return result
-
-    def _eval_fn_body(self, fn: ast.FnItem, env: Env, tid: int) -> Value:
-        """Execute a user function's body block (VM override point)."""
-        return self.eval_block(fn.body, env, tid)
 
     def call_fn_value(self, callee: Value, args: list[Value], tid: int,
                       span: Span) -> Value:
@@ -640,19 +577,14 @@ class Interpreter:
         try:
             if self._call_depth > MAX_CALL_DEPTH:
                 raise RecursionError("interpreter call depth exceeded")
-            return self._eval_closure_body(closure, env, tid)
+            if isinstance(closure.body, ast.Block):
+                return self.eval_block(closure.body, env, tid)
+            return self.eval_expr(closure.body, env, tid)
         except _Return as ret:
             return ret.value
         finally:
             self._call_depth -= 1
             self.unsafe_depth = saved_unsafe
-
-    def _eval_closure_body(self, closure: VClosure, env: Env,
-                           tid: int) -> Value:
-        """Execute a closure's body expression/block (VM override point)."""
-        if isinstance(closure.body, ast.Block):
-            return self.eval_block(closure.body, env, tid)
-        return self.eval_expr(closure.body, env, tid)
 
     # ==================================================================
     # Threads / sync (called from shims)
@@ -791,8 +723,7 @@ class Interpreter:
 
     def _bind_let(self, stmt: ast.LetStmt, value: Value, env: Env,
                   tid: int) -> None:
-        """Bind an evaluated initializer to a fresh local (shared with the
-        VM's ``LET_BIND`` instruction)."""
+        """Bind an evaluated initializer to a fresh local."""
         declared = stmt.ty
         let_ty = declared if declared is not None and not isinstance(
             declared, ty.TyInfer) else self.type_of_value(value)
@@ -905,8 +836,7 @@ class Interpreter:
         return self._deref_place(value, expr.span, for_write)
 
     def _deref_place(self, value: Value, span: Span, for_write: bool) -> VPtr:
-        """The place a dereference of ``value`` designates (post-operand
-        core, shared with the VM)."""
+        """The place a dereference of an evaluated ``value`` designates."""
         if isinstance(value, VMutexGuard):
             return value.data_ptr
         if isinstance(value, VPtr):
@@ -953,8 +883,7 @@ class Interpreter:
         return self._field_place(base, expr.field, expr.span)
 
     def _field_place(self, base: VPtr, field_name: str, span: Span) -> VPtr:
-        """Project a field out of an already-autoderef'd base place
-        (shared with the VM's ``FIELD_PLACE`` instruction)."""
+        """Project a field out of an already-autoderef'd base place."""
         base_ty = base.pointee
         if isinstance(base_ty, ty.TyTuple):
             index = int(field_name)
@@ -987,8 +916,7 @@ class Interpreter:
 
     def _index_place(self, base: VPtr, index_value: Value, tid: int,
                      span: Span) -> VPtr:
-        """Project an element out of an already-autoderef'd base place
-        (shared with the VM's ``INDEX_PLACE`` instruction)."""
+        """Project an element out of an already-autoderef'd base place."""
         if not isinstance(index_value, VInt):
             raise CompileError("slice indices must be integers", span)
         index = index_value.value
@@ -1107,8 +1035,7 @@ class Interpreter:
         return self._unary_value(expr.op, value, expr.span)
 
     def _unary_value(self, op: str, value: Value, span: Span) -> Value:
-        """Non-place unary operators on an evaluated operand (shared with
-        the VM's ``UNOP`` instruction)."""
+        """Non-place unary operators on an evaluated operand."""
         if op == "-":
             if isinstance(value, VInt):
                 result = -value.value
@@ -1130,8 +1057,7 @@ class Interpreter:
         return self._ref_from_place(place, mutable, span)
 
     def _ref_from_place(self, place: VPtr, mutable: bool, span: Span) -> Value:
-        """Retag and build a reference from an evaluated place (shared
-        with the VM's ``REF`` instruction)."""
+        """Retag and build a reference from an evaluated place."""
         alloc = self.memory.allocations.get(place.alloc_id)
         if alloc is None:
             raise UbSignal(MiriError(
@@ -1562,9 +1488,8 @@ class Interpreter:
 
     def _struct_value(self, name: str, provided: dict[str, Value],
                       span: Span) -> Value:
-        """Assemble a struct/union literal from evaluated fields (shared
-        with the VM's ``MAKE_STRUCT`` instruction; the struct's existence
-        was already checked before field evaluation)."""
+        """Assemble a struct/union literal from evaluated fields (the
+        struct's existence was already checked before field evaluation)."""
         layout = self.memory.structs[name]
         if layout.is_union:
             if len(provided) != 1:
@@ -1598,8 +1523,7 @@ class Interpreter:
         return self._cast_value(value, expr.ty, expr.span)
 
     def _cast_value(self, value: Value, target: ty.Ty, span: Span) -> Value:
-        """``as``-cast an evaluated value (shared with the VM's ``CAST``
-        instruction)."""
+        """``as``-cast an evaluated value."""
         if isinstance(target, ty.TyInt):
             if isinstance(value, VInt):
                 return VInt(target.wrap(value.value), target)

@@ -1,25 +1,49 @@
-"""Differential gate: the bytecode VM is byte-identical to the tree-walker.
+"""Shared-tree gate: the detector may interpret the parse memo's own tree.
 
-Every source the project can produce — the five hand-written case modules,
-the compile-error corpus, and 500 seeded generator mutants — runs through
-both engines in both collect modes, and the reports must match byte for
-byte: error kind, message, span, stdout, and the fuel-step counter.  Any
-divergence found here means ``CACHE_EPOCH`` must be bumped; the target is
-that this suite never fires.
+``repro.miri`` runs every string source on the tree
+:func:`~repro.lang.parser._parse_program_cached` holds, with no clone, so
+one tree serves every detector call — and every service worker thread —
+for as long as it stays in the memo.  That is only sound while the
+interpreter never writes to the AST.  Every source the project can
+produce (the hand-written UB corpus, the compile-error corpus, and 500
+seeded generator mutants) runs in both collect modes, and:
+
+* each memo tree hashes the same, over every node's fields including
+  spans and ``node_id``, before and after :func:`run_program`;
+* ``detect_ub(text)`` on the shared tree equals a run on a private
+  :func:`~repro.lang.ast_nodes.clone`, and equals itself back to back;
+* four threads detecting the same sources at once reproduce the serial
+  reports;
+* borrow-tag numbering restarts per run on one shared tree.
+
+Any failure here means the detector must go back to cloning.
 """
+
+import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.miri as miri
+import repro.miri.borrows as borrows
 from repro.corpus.dataset import load_compile_dataset, load_dataset
 from repro.corpus.generator import generate_sources
-from repro.lang.parser import parse_program
-from repro.miri import DETECTOR_STATS, detect_ub, detect_ub_batch
+from repro.lang import ast_nodes as ast
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError, _parse_program_cached
+from repro.lang.span import DUMMY_SPAN
+from repro.miri import detect_ub
 from repro.miri.interp import run_program
-from repro.miri.vm import check_divergence, report_signature
-import repro.miri.borrows as borrows
 
 GENERATED_COUNT = 500
 GENERATED_SEED = 12345
+THREADS = 4
+THREADED_SOURCES = 40
+#: Thread switch interval for the concurrent test: short enough that
+#: threads trade places mid-run on the same tree.
+SWITCH_INTERVAL = 1e-5
 
 MEMORY_HEAVY = """
 fn main() {
@@ -35,20 +59,43 @@ fn main() {
 }
 """
 
-LOOP_HEAVY = """
-fn main() {
-    let mut total = 0i64;
-    for i in 0..25 {
-        if i % 2 == 0 {
-            total += i;
-        }
-    }
-    while total > 10 {
-        total -= 7;
-    }
-    println!("{}", total);
-}
-"""
+COLLECT_MODES = pytest.mark.parametrize("collect", [False, True],
+                                        ids=["first-ub", "collect"])
+
+
+def _shape(value, pending: list):
+    """A hashable picture of one field; child nodes stand in by id and are
+    queued so each node's own fields are hashed exactly once."""
+    if isinstance(value, ast.Node):
+        pending.append(value)
+        return ("node", value.node_id)
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__,
+                tuple(_shape(item, pending) for item in value))
+    return repr(value)
+
+
+def tree_digest(program: ast.Program) -> str:
+    """sha256 over every node's attributes, spans and ``node_id``
+    included — an attribute added, dropped, or rebound anywhere in the
+    tree changes it."""
+    digest = hashlib.sha256()
+    pending = [program]
+    while pending:
+        node = pending.pop()
+        fields = tuple((key, _shape(value, pending))
+                       for key, value in vars(node).items())
+        digest.update(repr((type(node).__name__, fields)).encode())
+    return digest.hexdigest()
+
+
+def _memo_tree(source: str):
+    """The parse memo's tree for ``source``, or None when it does not
+    parse (the detector answers those before interpreting)."""
+    try:
+        return _parse_program_cached(source)
+    except (LexError, ParseError):
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -64,88 +111,101 @@ def corpus_sources():
     return sources
 
 
-class TestFullCorpusByteIdentity:
-    @pytest.mark.parametrize("collect", [False, True],
-                             ids=["first-ub", "collect"])
-    def test_every_source_matches(self, corpus_sources, collect):
-        divergences = []
+class TestInterpreterIsReadOnly:
+    @COLLECT_MODES
+    def test_memo_trees_unchanged_by_runs(self, corpus_sources, collect):
+        parsed = changed = 0
+        for source in corpus_sources:
+            tree = _memo_tree(source)
+            if tree is None:
+                continue
+            parsed += 1
+            before = tree_digest(tree)
+            run_program(tree, collect=collect)
+            if tree_digest(tree) != before:
+                changed += 1
+        assert parsed > 700
+        assert changed == 0, f"{changed} of {parsed} trees changed"
+
+    def test_digest_sees_a_write(self):
+        tree = ast.clone(_parse_program_cached(MEMORY_HEAVY))
+        before = tree_digest(tree)
+        tree.items[0].body.stmts[0].span = DUMMY_SPAN
+        assert tree_digest(tree) != before
+        tree = ast.clone(_parse_program_cached(MEMORY_HEAVY))
+        before = tree_digest(tree)
+        tree.items[0].scratch = 1
+        assert tree_digest(tree) != before
+
+
+class TestSharedTreeReports:
+    def test_detector_runs_the_memo_tree(self, monkeypatch):
+        seen = []
+
+        def recording_run_program(program, **kwargs):
+            seen.append(program)
+            return run_program(program, **kwargs)
+
+        monkeypatch.setattr(miri, "run_program", recording_run_program)
+        detect_ub(MEMORY_HEAVY)
+        detect_ub(MEMORY_HEAVY)
+        memo = _parse_program_cached(MEMORY_HEAVY)
+        assert len(seen) == 2
+        assert seen[0] is memo and seen[1] is memo
+
+    @COLLECT_MODES
+    def test_shared_equals_private_clone(self, corpus_sources, collect):
+        mismatches = []
         for index, source in enumerate(corpus_sources):
-            divergence = check_divergence(source, f"corpus[{index}]",
-                                          collect=collect)
-            if divergence is not None:
-                divergences.append(divergence)
-        assert not divergences, "\n\n".join(
-            d.render() for d in divergences[:5])
-
-    def test_exec_metrics_identical(self):
-        tree = detect_ub(LOOP_HEAVY, engine="tree")
-        vm = detect_ub(LOOP_HEAVY, engine="vm")
-        assert tree.steps == vm.steps > 0
-        assert tree.stdout == vm.stdout
-        assert report_signature(tree) == report_signature(vm)
-
-    def test_batch_paths_identical(self, corpus_sources):
-        sample = corpus_sources[:40]
-        tree = detect_ub_batch(sample, engine="tree")
-        vm = detect_ub_batch(sample, engine="vm")
-        assert [report_signature(r) for r in tree] == \
-            [report_signature(r) for r in vm]
+            shared = detect_ub(source, collect=collect)
+            again = detect_ub(source, collect=collect)
+            tree = _memo_tree(source)
+            private = (run_program(ast.clone(tree), collect=collect)
+                       if tree is not None else shared)
+            if not shared == again == private:
+                mismatches.append(index)
+        assert not mismatches, f"sources {mismatches[:10]} diverged"
 
 
-class TestRunAccounting:
-    def _sources(self, salt):
-        # Unique literals so neither the compile memo nor any fingerprint
-        # state from other tests can absorb a run.
-        return [
-            f"fn main() {{ let x = {salt}i64; println!(\"{{}}\", x); }}",
-            f"fn main() {{ let v: Vec<i64> = Vec::new(); let x = v[{salt}]; }}",
-            f"fn main() {{ let x = {salt}i64; let y = x; println!(\"{{}}\", x + y); }}",
-            f"fn main() {{ let x = {salt}i64; println!(\"{{}}\", x); }}",
-        ]
+class TestConcurrentSharing:
+    @COLLECT_MODES
+    def test_threads_reproduce_serial_reports(self, corpus_sources,
+                                              collect):
+        sample = corpus_sources[:THREADED_SOURCES]
+        serial = [detect_ub(source, collect=collect) for source in sample]
+        digests = [tree_digest(_parse_program_cached(source))
+                   for source in sample]
+        start = threading.Barrier(THREADS)
 
-    def test_identical_accounting_across_engines(self):
-        DETECTOR_STATS.reset()
-        detect_ub_batch(self._sources(9001), engine="tree")
-        tree = DETECTOR_STATS.snapshot()
-        DETECTOR_STATS.reset()
-        detect_ub_batch(self._sources(9002), engine="vm")
-        vm = DETECTOR_STATS.snapshot()
+        def sweep(offset: int):
+            # Rotated orders put different threads on the same tree at
+            # the same time.
+            start.wait(timeout=60)
+            order = [(offset * 7 + i) % len(sample)
+                     for i in range(len(sample))]
+            reports = [None] * len(sample)
+            for i in order:
+                reports[i] = detect_ub(sample[i], collect=collect)
+            return reports
 
-        for key in ("requests", "runs", "fingerprint_hits",
-                    "case_memo_hits"):
-            assert tree[key] == vm[key], key
-        # The engines differ only in the engine-specific counters.
-        assert tree["vm_runs"] == 0 and tree["compiles"] == 0
-        assert vm["vm_runs"] == vm["runs"]
-        assert vm["compiles"] == 3  # unique sources (the 4th is a dupe)
-        DETECTOR_STATS.reset()
-
-
-class TestDivergenceReport:
-    def test_render_prints_both_engines_outcomes(self):
-        # Construct a synthetic divergence (none exist organically) and
-        # check the triage report shows each engine's steps, stdout, and
-        # errors side by side.
-        from repro.miri.vm import Divergence
-        tree = detect_ub(LOOP_HEAVY, engine="tree")
-        vm = detect_ub(
-            "fn main() { let v: Vec<i64> = Vec::new(); let x = v[1]; }",
-            engine="vm")
-        text = Divergence("triage-case", tree, vm).render()
-        assert "engine divergence on triage-case" in text
-        assert f"tree: steps={tree.steps}" in text
-        assert f"vm:   steps={vm.steps}" in text
-        assert repr(tree.stdout) in text and repr(vm.stdout) in text
-        for error in vm.errors:
-            assert error.render() in text
-
-    def test_check_divergence_none_on_agreement(self):
-        assert check_divergence(LOOP_HEAVY, "loop-heavy") is None
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(SWITCH_INTERVAL)
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                futures = [pool.submit(sweep, offset)
+                           for offset in range(THREADS)]
+                results = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        for reports in results:
+            assert reports == serial
+        assert [tree_digest(_parse_program_cached(source))
+                for source in sample] == digests
 
 
 class TestBorrowTagDeterminism:
     def test_back_to_back_runs_share_tag_sequences(self, monkeypatch):
-        program = parse_program(MEMORY_HEAVY)
+        tree = _parse_program_cached(MEMORY_HEAVY)
         real_fresh_tag = borrows.fresh_tag
         sequences = []
 
@@ -156,12 +216,12 @@ class TestBorrowTagDeterminism:
 
         monkeypatch.setattr(borrows, "fresh_tag", recording_fresh_tag)
         reports = []
-        for engine in ("tree", "vm"):
-            for _ in range(2):
-                sequences.append([])
-                reports.append(run_program(program, engine=engine))
+        for _ in range(3):
+            sequences.append([])
+            reports.append(detect_ub(MEMORY_HEAVY))
+        sequences.append([])
+        reports.append(run_program(tree))
 
         assert sequences[0], "case must exercise borrow tags"
-        assert sequences[0] == sequences[1] == sequences[2] == sequences[3]
-        first = report_signature(reports[0])
-        assert all(report_signature(r) == first for r in reports[1:])
+        assert all(sequence == sequences[0] for sequence in sequences[1:])
+        assert all(report == reports[0] for report in reports[1:])

@@ -107,8 +107,8 @@ class TestRoundTrip:
         assert stats["queue"] == {"depth": 0, "running": 0,
                                   "jobs_tracked": 1}
         assert stats["coalescing"]["hit_rate"] == 0.0
-        assert set(stats["detector"]) == {"requests", "runs", "compiles",
-                                          "vm_runs", "fingerprint_hits",
+        assert set(stats["detector"]) == {"requests", "runs",
+                                          "fingerprint_hits",
                                           "case_memo_hits"}
         assert set(stats["case_memo"]) == {"entries", "limit", "enabled"}
         assert stats["budget"]["in_use"] >= 1  # the server's own lease

@@ -54,28 +54,6 @@ class TestRepair:
         assert main(["repair", buggy_file, "--no-kb", "--seed", "3"]) in (0, 1)
 
 
-class TestEngineExecFlag:
-    def test_tree_and_vm_produce_identical_output(self, buggy_file, capsys):
-        assert main(["repair", buggy_file, "--seed", "3",
-                     "--engine-exec", "tree"]) == 0
-        tree_out = capsys.readouterr().out
-        assert main(["repair", buggy_file, "--seed", "3",
-                     "--engine-exec", "vm"]) == 0
-        vm_out = capsys.readouterr().out
-        assert tree_out == vm_out
-
-    def test_bad_value_exit_2(self, buggy_file):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["repair", buggy_file, "--engine-exec", "bogus"])
-        assert excinfo.value.code == 2
-
-    def test_default_engine_restored_after_run(self, buggy_file):
-        from repro.miri import resolve_engine
-        before = resolve_engine(None)
-        main(["repair", buggy_file, "--seed", "3", "--engine-exec", "tree"])
-        assert resolve_engine(None) == before
-
-
 class TestDataset:
     def test_lists_cases(self, capsys):
         assert main(["dataset"]) == 0

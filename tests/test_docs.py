@@ -102,3 +102,16 @@ class TestCheckerCatchesRot:
         doc = tmp_path / "doc.md"
         doc.write_text("see [missing](nope/gone.md)", encoding="utf-8")
         assert check_docs.check_links(doc, doc.read_text())
+
+    def test_stale_schema_id(self):
+        current = check_docs._current_schema_ids()
+        campaign = next(schema_id for schema_id in current
+                        if schema_id.startswith("repro.bench_campaign/"))
+        version = int(campaign.split("/")[1])
+        stale = f"repro.bench_campaign/{version - 1}"
+        errors = check_docs.check_schema_ids(f"writes `{stale}` today")
+        assert errors and stale in errors[0]
+        assert check_docs.check_schema_ids(f"writes `{campaign}`") == []
+        # Unversioned names and bare changelog numbers are not ids.
+        assert check_docs.check_schema_ids(
+            "repro.quantum/7 | 2 | PR 10 |") == []

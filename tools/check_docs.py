@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checker: keep README/DESIGN/docs code blocks and links from rotting.
 
-Four mechanical checks over every tracked markdown file:
+Five mechanical checks over every tracked markdown file:
 
 1. **Python blocks compile.**  Every ```` ```python ```` fence must be
    valid syntax (doctest-style blocks are converted via
@@ -24,6 +24,10 @@ Four mechanical checks over every tracked markdown file:
    ``--strict``, the reference must also be *complete*: every telemetry
    event class and both result dataclasses need a documented table, and
    every versioned schema id the artifacts use must appear.
+5. **Schema ids are current.**  A ``repro.<name>/<N>`` id whose
+   ``<name>`` the code writes under a different version is stale (a
+   README still citing ``/1`` after a bump).  Changelog tables use bare
+   version numbers, so history stays expressible.
 
 Run:  python tools/check_docs.py            # checks the default doc set
       python tools/check_docs.py FILE...    # checks specific files
@@ -47,6 +51,7 @@ DEFAULT_DOCS = ("README.md", "DESIGN.md", "ROADMAP.md", "PAPER.md")
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+_SCHEMA_ID_RE = re.compile(r"\brepro\.([a-z][\w-]*)/(\d+)")
 
 
 def iter_code_blocks(text: str):
@@ -207,6 +212,22 @@ def _current_schema_ids() -> list[str]:
     return sorted(set(ids))
 
 
+def check_schema_ids(text: str) -> list[str]:
+    """Every ``repro.<name>/<N>`` whose ``<name>`` has a current id must
+    cite that id; names the code does not version are left alone."""
+    versions: dict[str, set[str]] = {}
+    for schema_id in _current_schema_ids():
+        name, version = schema_id.split("/")
+        versions.setdefault(name, set()).add(version)
+    errors = []
+    for match in _SCHEMA_ID_RE.finditer(text):
+        known = versions.get(f"repro.{match.group(1)}")
+        if known and match.group(2) not in known:
+            errors.append(f"stale schema id {match.group(0)!r} (current: "
+                          f"{', '.join(sorted(f'/{v}' for v in known))})")
+    return errors
+
+
 def _reference_sections(text: str) -> dict[str, list[str]]:
     """Documented class name -> field names from its markdown table."""
     known = _documented_dataclasses()
@@ -275,6 +296,7 @@ def check_file(path: pathlib.Path,
     cli_options = cli_options if cli_options is not None else _cli_options()
     text = path.read_text(encoding="utf-8")
     errors = [f"{path}: {error}" for error in check_links(path, text)]
+    errors.extend(f"{path}: {error}" for error in check_schema_ids(text))
     for language, content, line in iter_code_blocks(text):
         if language == "python":
             error = check_python_block(content)
