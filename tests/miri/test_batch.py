@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.miri import (BatchVerifier, DETECTOR_STATS, detect_ub,
-                        detect_ub_batch, run_program)
+from repro.miri import (BatchVerifier, DETECTOR_STATS, DetectorStats,
+                        detect_ub, detect_ub_batch, run_program)
 from repro.lang.parser import parse_program
 
 BUGGY = """
@@ -118,6 +118,36 @@ class TestBatchVerifier:
         verifier.verify(CLEAN)
         assert DETECTOR_STATS.requests == 2
         assert DETECTOR_STATS.runs == 1
+
+
+class TestDetectorStats:
+    def test_record_snapshot_reset(self):
+        stats = DetectorStats()
+        stats.record(requests=3, runs=2)
+        stats.record(fingerprint_hits=1, case_memo_hits=1)
+        assert stats.snapshot() == {"requests": 3, "runs": 2,
+                                    "fingerprint_hits": 1,
+                                    "case_memo_hits": 1}
+        stats.reset()
+        assert set(stats.snapshot().values()) == {0}
+
+    def test_shared_tree_still_counts_every_run(self):
+        # A parse-memo hit saves the parse, never the interpretation.
+        source = 'fn main() { let probe = 515151i64; println!("{}", probe); }'
+        before = DETECTOR_STATS.snapshot()
+        detect_ub(source)
+        detect_ub(source)
+        after = DETECTOR_STATS.snapshot()
+        assert after["requests"] - before["requests"] == 2
+        assert after["runs"] - before["runs"] == 2
+
+    def test_parse_failure_is_a_request_not_a_run(self):
+        before = DETECTOR_STATS.snapshot()
+        report = detect_ub("fn main( {")
+        after = DETECTOR_STATS.snapshot()
+        assert report.errors[0].kind.value == "compile"
+        assert after["requests"] - before["requests"] == 1
+        assert after["runs"] == before["runs"]
 
 
 class TestSemanticScoringMemo:

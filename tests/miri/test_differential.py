@@ -11,7 +11,11 @@ seeded generator mutants) runs in both collect modes, and:
 * each memo tree hashes the same, over every node's fields including
   spans and ``node_id``, before and after :func:`run_program`;
 * ``detect_ub(text)`` on the shared tree equals a run on a private
-  :func:`~repro.lang.ast_nodes.clone`, and equals itself back to back;
+  :func:`~repro.lang.ast_nodes.clone`, equals itself back to back, and
+  equals the :func:`~repro.miri.detect_ub_batch` answer;
+* :func:`~repro.lang.parser.parse_program` still hands its callers
+  private clones, so their rewrites never reach the shared tree;
+* every node span and every report span lies inside its source;
 * four threads detecting the same sources at once reproduce the serial
   reports;
 * borrow-tag numbering restarts per run on one shared tree.
@@ -32,9 +36,10 @@ from repro.corpus.dataset import load_compile_dataset, load_dataset
 from repro.corpus.generator import generate_sources
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError, _parse_program_cached
+from repro.lang.parser import (ParseError, _parse_program_cached,
+                               parse_program)
 from repro.lang.span import DUMMY_SPAN
-from repro.miri import detect_ub
+from repro.miri import detect_ub, detect_ub_batch
 from repro.miri.interp import run_program
 
 GENERATED_COUNT = 500
@@ -165,6 +170,65 @@ class TestSharedTreeReports:
             if not shared == again == private:
                 mismatches.append(index)
         assert not mismatches, f"sources {mismatches[:10]} diverged"
+
+    @COLLECT_MODES
+    def test_batch_equals_back_to_back(self, corpus_sources, collect):
+        # The batch path interprets the same memo trees; exact-text
+        # duplicates (the corpora repeat some fixed sources) get copies.
+        batch = detect_ub_batch(corpus_sources, collect=collect,
+                                fingerprint=False)
+        single = [detect_ub(source, collect=collect)
+                  for source in corpus_sources]
+        assert len(batch) == len(single)
+        mismatches = [index for index, (ours, theirs)
+                      in enumerate(zip(batch, single)) if ours != theirs]
+        assert not mismatches, f"sources {mismatches[:10]} diverged"
+
+
+class TestParseMemo:
+    def test_one_tree_per_source(self):
+        assert _parse_program_cached(MEMORY_HEAVY) is \
+            _parse_program_cached(MEMORY_HEAVY)
+
+    def test_parse_program_hands_out_private_clones(self):
+        memo = _parse_program_cached(MEMORY_HEAVY)
+        before = tree_digest(memo)
+        report = detect_ub(MEMORY_HEAVY)
+        first = parse_program(MEMORY_HEAVY)
+        second = parse_program(MEMORY_HEAVY)
+        assert first is not memo and second is not memo
+        assert first is not second
+        # Rewrites mutate the tree they are given; none of it may reach
+        # the tree the detector shares.
+        second.items[0].body.stmts[0].span = DUMMY_SPAN
+        second.items[0].body.stmts.pop()
+        first.items.clear()
+        assert tree_digest(memo) == before
+        assert detect_ub(MEMORY_HEAVY) == report
+
+
+class TestSpansMapIntoSource:
+    def test_every_node_span_within_source(self, corpus_sources):
+        outside = []
+        for index, source in enumerate(corpus_sources):
+            tree = _memo_tree(source)
+            if tree is None:
+                continue
+            for node in ast.walk(tree):
+                span = node.span
+                if not 0 <= span.start <= span.end <= len(source):
+                    outside.append((index, type(node).__name__, span))
+        assert not outside, f"spans outside their source: {outside[:5]}"
+
+    @COLLECT_MODES
+    def test_report_spans_within_source(self, corpus_sources, collect):
+        outside = []
+        for index, source in enumerate(corpus_sources):
+            for error in detect_ub(source, collect=collect).errors:
+                span = error.span
+                if not 0 <= span.start <= span.end <= len(source):
+                    outside.append((index, error.message, span))
+        assert not outside, f"error spans outside their source: {outside[:5]}"
 
 
 class TestConcurrentSharing:

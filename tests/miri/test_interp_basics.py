@@ -1,8 +1,11 @@
 """Interpreter tests: language semantics on UB-free programs."""
 
+import sys
+
 import pytest
 
 from repro.miri import detect_ub
+from repro.miri.interp import MAX_CALL_DEPTH
 
 
 def run(source):
@@ -196,6 +199,54 @@ fn main() {
     def test_missing_main_is_compile_error(self):
         report = detect_ub("fn helper() { }")
         assert report.errors[0].kind.value == "compile"
+
+
+#: ``main`` plus ``depth(n)`` down to ``depth(0)``: ``n + 2`` calls deep.
+DEEP_RECURSION = """
+fn depth(n: i64) -> i64 {
+    if n == 0 { 0 } else { 1 + depth(n - 1) }
+}
+fn main() {
+    let d = depth(%d);
+    println!("{}", d);
+}
+"""
+
+
+class TestCallDepthCeiling:
+    def test_recursion_up_to_the_ceiling_runs(self):
+        report = run(DEEP_RECURSION % (MAX_CALL_DEPTH - 2))
+        assert report.stdout == [str(MAX_CALL_DEPTH - 2)]
+
+    def test_one_call_past_the_ceiling_overflows(self):
+        report = run_expect_error(DEEP_RECURSION % (MAX_CALL_DEPTH - 1),
+                                  "resource")
+        assert report.errors[0].message == "stack overflow"
+        assert report.stdout == []
+
+    def test_overflow_independent_of_recursion_limit(self):
+        source = DEEP_RECURSION % 500
+        baseline = detect_ub(source)
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(previous * 4)
+        try:
+            raised = detect_ub(source)
+        finally:
+            sys.setrecursionlimit(previous)
+        assert baseline.errors[0].message == "stack overflow"
+        assert raised == baseline
+        assert raised.steps == baseline.steps > 0
+
+    def test_closure_calls_count_toward_the_ceiling(self):
+        # ``main`` -> closure -> depth(n): one frame more than a direct
+        # call, so the deepest direct call that fits overflows here.
+        template = DEEP_RECURSION.replace(
+            "let d = depth(%d);", "let f = |n: i64| depth(n); let d = f(%d);")
+        report = run(template % (MAX_CALL_DEPTH - 3))
+        assert report.stdout == [str(MAX_CALL_DEPTH - 3)]
+        report = run_expect_error(template % (MAX_CALL_DEPTH - 2),
+                                  "resource")
+        assert report.errors[0].message == "stack overflow"
 
 
 class TestDataStructures:

@@ -53,6 +53,14 @@ class TestRepair:
     def test_no_kb_flag(self, buggy_file):
         assert main(["repair", buggy_file, "--no-kb", "--seed", "3"]) in (0, 1)
 
+    def test_repeat_runs_print_identical_output(self, buggy_file, capsys):
+        # The second run reuses the parse memo's trees the first one
+        # left behind; the detector must answer exactly as before.
+        assert main(["repair", buggy_file, "--seed", "3"]) == 0
+        first = capsys.readouterr().out
+        assert main(["repair", buggy_file, "--seed", "3"]) == 0
+        assert capsys.readouterr().out == first
+
 
 class TestDataset:
     def test_lists_cases(self, capsys):

@@ -115,3 +115,11 @@ class TestCheckerCatchesRot:
         # Unversioned names and bare changelog numbers are not ids.
         assert check_docs.check_schema_ids(
             "repro.quantum/7 | 2 | PR 10 |") == []
+
+    def test_stale_schema_id_reported_per_file(self, tmp_path, cli_options):
+        doc = tmp_path / "doc.md"
+        doc.write_text("writes `repro.bench_campaign/1` today\n",
+                       encoding="utf-8")
+        errors = check_docs.check_file(doc, cli_options)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{doc}: stale schema id")
