@@ -2,7 +2,7 @@
 """Model-portfolio smoke: ensembles vs standalone profiles, with hard gates.
 
 Stages, one artifact (``BENCH_ensemble.json``, schema
-``repro.bench_ensemble/3`` — see docs/reference.md for the changelog):
+``repro.bench_ensemble/4`` — see docs/reference.md for the changelog):
 
 1. **Execution-layer checks** on a three-category subset: the composite
    arms run byte-identically under ``executor="serial"``,
@@ -15,22 +15,13 @@ Stages, one artifact (``BENCH_ensemble.json``, schema
    prove that the ``serial|thread|process`` member-pool backends are
    byte-identical and that concurrent voting elects the same winners as
    sequential voting.
-2. **Batched verification**: RustBrain with ``batch_verify=on`` produces
-   outcomes identical to ``batch_verify=off`` while executing fewer
-   detector (interpreter) runs, and a scored campaign answers strictly
-   more verification requests than it runs interpreters — the
-   detector-invocations-per-repaired-case amortization.
-3. **Fingerprint dedup**: a multi-arm multi-member campaign with the
-   normalized-AST fingerprint layer on (verifier dedup + the
-   process-wide case-detection memo, the default) produces repair
-   outcomes byte-identical to the same campaign with ``fingerprint=off``
-   members and the case memo disabled, while executing strictly fewer
-   interpreter runs per case.  (The exec-metric trace memo keys by
-   fingerprint in *both* legs, so the off baseline is a lower bound on
-   the true PR-4 run count — the measured reduction is conservative.)
-   A probe batch of formatting-divergent corpus duplicates additionally
-   gates that the normalized layer itself answers them in one run each.
-4. **The headline claim** (sequential mode only) on the full corpus,
+2. **Memoized verification**: from a cold detector memo, a scored
+   campaign answers strictly more verification requests than it runs
+   interpreters — the detector-invocations-per-repaired-case
+   amortization.  That the memo never changes an answer is gated by the
+   tests (``tests/miri/test_differential.py`` and
+   ``tests/engine/test_ensemble.py::TestCrossMemberMemo``).
+3. **The headline claim** (sequential mode only) on the full corpus,
    repeat-sampled across seeds: the cascade arm (cheap GPT-3.5 pass
    first, full GPT-4 RustBrain only on failure) beats **every**
    standalone-model arm on pass rate at a lower mean virtual-clock
@@ -58,33 +49,19 @@ from repro.bench.figures import (DEFAULT_SEEDS, ENSEMBLE_COMPOSITE_ARMS,
                                  ensemble_best_standalone, ensemble_campaign,
                                  ensemble_data)
 from repro.corpus.dataset import load_dataset
-from repro.engine import ResultCache, create_engine
+from repro.engine import ResultCache
 from repro.miri import CASE_MEMO, DETECTOR_STATS
 from repro.miri.errors import UbKind
 
-SCHEMA = "repro.bench_ensemble/3"
+SCHEMA = "repro.bench_ensemble/4"
 DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_ensemble.json"
 
 #: Identity-check subset: small enough for a serial reference run, wide
 #: enough to exercise fast members, slow escalation, and switch routing.
 CHECK_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC, UbKind.STACK_BORROW]
-#: Batched-verification subset (run twice, so kept lean).
+#: Memoized-verification subset.
 VERIFY_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC]
-#: Fingerprint A/B subset (also run twice).
-FINGERPRINT_CATEGORIES = [UbKind.UNINIT, UbKind.PANIC]
 CHECK_SEED = 3
-
-#: The fingerprint A/B campaign: multi-arm, multi-member, members and
-#: routes pinned explicitly so the ``fingerprint=off`` variant differs in
-#: nothing but the dedup layer under test.
-FINGERPRINT_ARMS = {
-    "on": ("cascade?members=gpt-3.5+rustbrain:gpt-4",
-           "switch?members=claude-3.5+rustbrain:gpt-4&fallback=0"),
-    "off": ("cascade?members=gpt-3.5;fingerprint=off"
-            "+rustbrain;fingerprint=off:gpt-4",
-            "switch?members=claude-3.5;fingerprint=off"
-            "+rustbrain;fingerprint=off:gpt-4&fallback=0"),
-}
 
 
 def _arm_payload(result) -> str:
@@ -104,18 +81,6 @@ def _winners(result, label: str) -> list:
     arm = next(arm for arm in result.arms if arm.label == label)
     return [(report.case, report.passed, report.repaired_source)
             for report in arm.reports]
-
-
-def _strip_member_specs(entry: dict) -> dict:
-    """One report dict minus the strings that spell the arm's spec — the
-    engine label and each member's spec string differ legitimately
-    between the fingerprint on/off variants; nothing else may."""
-    entry = dict(entry)
-    entry.pop("engine")
-    entry["members"] = [{key: value for key, value in member.items()
-                         if key != "member"}
-                        for member in entry.get("members", [])]
-    return entry
 
 
 def _reports_sans_label(result, label: str) -> str:
@@ -192,26 +157,11 @@ def _identity_checks(member_workers: int) -> tuple[dict, dict]:
 
 
 def _verification_checks() -> tuple[dict, dict]:
-    """Batched S2 verification: identical outcomes, fewer detector runs."""
-    from repro.core.evaluate import clear_trace_memo
+    """Memoized verification: fewer detector runs than requests."""
     # Published run counts must not inherit warmth from the identity stage
     # (same cases, same seed, same process).
-    clear_trace_memo()
     CASE_MEMO.clear()
     dataset = load_dataset().subset(VERIFY_CATEGORIES)
-    cases = list(dataset)
-    outcomes: dict[str, list] = {}
-    runs: dict[str, int] = {}
-    for flag in ("off", "on"):
-        DETECTOR_STATS.reset()
-        engine = create_engine(f"rustbrain?batch_verify={flag}",
-                               seed=CHECK_SEED)
-        outcomes[flag] = [engine.repair(case.source, case.difficulty)
-                          for case in cases]
-        runs[flag] = DETECTOR_STATS.snapshot()["runs"]
-    # A scored campaign exercises the other amortization layers too (the
-    # exec-metric trace memo and batched scoring): strictly more
-    # verification requests answered than interpreters executed.
     DETECTOR_STATS.reset()
     campaign = ensemble_campaign(dataset, seed=CHECK_SEED,
                                  executor="serial",
@@ -220,100 +170,17 @@ def _verification_checks() -> tuple[dict, dict]:
     requests, executed = counters["requests"], counters["runs"]
     scored = sum(len(arm.reports) for arm in campaign.arms)
     checks = {
-        "batch_verify_outcomes_identical": outcomes["on"] == outcomes["off"],
-        "batched_verification_reduces_detector_runs":
-            runs["on"] < runs["off"] and executed < requests,
+        "batched_verification_reduces_detector_runs": executed < requests,
     }
     summary = {
         "categories": sorted(cat.value for cat in VERIFY_CATEGORIES),
-        "cases": len(cases),
-        "rustbrain_detector_runs_unbatched": runs["off"],
-        "rustbrain_detector_runs_batched": runs["on"],
+        "cases": len(dataset),
         "campaign_cases": scored,
         "campaign_verification_requests": requests,
         "campaign_detector_runs": executed,
+        "campaign_case_memo_hits": counters["case_memo_hits"],
         "requests_per_case": round(requests / scored, 3),
         "runs_per_case": round(executed / scored, 3),
-    }
-    return checks, summary
-
-
-def _fingerprint_checks() -> tuple[dict, dict]:
-    """Fingerprint dedup: byte-identical outcomes, fewer runs per case.
-
-    Runs one multi-arm multi-member campaign twice — once with the
-    normalized-fingerprint layer on (the default: verifier dedup plus the
-    process-wide case memo) and once with it off (``fingerprint=off``
-    members, case memo disabled: the PR-4 engine code paths) — from
-    identical cold memo states.  Repair outcomes must match byte for
-    byte (member spec strings aside, which legitimately spell the
-    override).  One layer cannot be switched: the exec-metric trace memo
-    keys by fingerprint in both legs, so the off leg's run count is a
-    lower bound on true PR-4 — the gated reduction is conservative.
-    """
-    from repro.core.evaluate import clear_trace_memo
-    dataset = load_dataset().subset(FINGERPRINT_CATEGORIES)
-    runs: dict[str, int] = {}
-    stats: dict[str, dict] = {}
-    payloads: dict[str, list] = {}
-    for mode in ("off", "on"):
-        clear_trace_memo()
-        CASE_MEMO.clear()
-        DETECTOR_STATS.reset()
-        CASE_MEMO.enabled = mode == "on"
-        try:
-            result = ensemble_campaign(dataset, seed=CHECK_SEED,
-                                       executor="serial",
-                                       arms=FINGERPRINT_ARMS[mode]).run()
-        finally:
-            CASE_MEMO.enabled = True
-        stats[mode] = DETECTOR_STATS.snapshot()
-        runs[mode] = stats[mode]["runs"]
-        payloads[mode] = [
-            _strip_member_specs(report.to_dict())
-            for arm in result.arms for report in arm.reports]
-    # The campaign savings above can come entirely from exact-text memo
-    # hits; the *normalized* layer needs its own exercise, or a silent
-    # fingerprint regression (e.g. falling back to raw hashing) would
-    # keep every gate green.  Batch each case source next to a
-    # formatting-divergent spelling (a trailing comment guarantees the
-    # texts differ while the AST cannot): every pair must interpret once,
-    # through fingerprint hits specifically, with identical verdicts.
-    from repro.miri import detect_ub_batch
-    DETECTOR_STATS.reset()
-    pairs = [(case.source, case.source + "\n// fingerprint probe\n")
-             for case in dataset]
-    reports = detect_ub_batch([source for pair in pairs for source in pair])
-    probe = DETECTOR_STATS.snapshot()
-    verdicts = [(r.passed, [e.kind.value for e in r.errors],
-                 list(r.stdout)) for r in reports]
-    normalized_identical = all(verdicts[i] == verdicts[i + 1]
-                               for i in range(0, len(verdicts), 2))
-    # Every probe's second spelling must be answered by a fingerprint
-    # hit, and every request by a run or a hit (two corpus cases that
-    # are themselves renaming-equivalent only shift runs into hits).
-    normalized_once = (
-        probe["fingerprint_hits"] >= len(pairs)
-        and probe["runs"] + probe["fingerprint_hits"] == 2 * len(pairs))
-
-    cases = len(dataset) * len(FINGERPRINT_ARMS["on"])
-    checks = {
-        "fingerprint_outcomes_byte_identical":
-            json.dumps(payloads["on"], sort_keys=True)
-            == json.dumps(payloads["off"], sort_keys=True),
-        "fingerprint_reduces_detector_runs": runs["on"] < runs["off"],
-        "normalized_duplicates_interpret_once":
-            normalized_once and normalized_identical,
-    }
-    summary = {
-        "categories": sorted(cat.value for cat in FINGERPRINT_CATEGORIES),
-        "cases": len(dataset),
-        "arms": list(FINGERPRINT_ARMS["on"]),
-        "detector_stats": stats,
-        "runs_per_case_fingerprint_off": round(runs["off"] / cases, 3),
-        "runs_per_case_fingerprint_on": round(runs["on"] / cases, 3),
-        "normalized_probe_pairs": len(pairs),
-        "normalized_probe_fingerprint_hits": probe["fingerprint_hits"],
     }
     return checks, summary
 
@@ -340,15 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     verify_checks, verify_summary = _verification_checks()
     verify_secs = time.perf_counter() - start
 
-    start = time.perf_counter()
-    fingerprint_checks, fingerprint_summary = _fingerprint_checks()
-    fingerprint_secs = time.perf_counter() - start
-
-    checks = {**identity_checks, **verify_checks, **fingerprint_checks}
+    checks = {**identity_checks, **verify_checks}
     wall_seconds = {
         "identity": round(identity_secs, 4),
         "verification": round(verify_secs, 4),
-        "fingerprint": round(fingerprint_secs, 4),
     }
     payload = {
         "schema": SCHEMA,
@@ -360,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "identity": identity_summary,
         "verification": verify_summary,
-        "fingerprint": fingerprint_summary,
     }
 
     data = None
@@ -408,11 +269,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  verification: {verify_summary['runs_per_case']} detector "
           f"runs/case for {verify_summary['requests_per_case']} "
           f"requests/case")
-    print(f"  fingerprint: "
-          f"{fingerprint_summary['runs_per_case_fingerprint_on']} detector "
-          f"runs/case vs "
-          f"{fingerprint_summary['runs_per_case_fingerprint_off']} without "
-          f"the dedup layer")
     print(f"  checks: {checks}")
     if not all(checks.values()):
         print("ensemble smoke FAILED gates", file=sys.stderr)

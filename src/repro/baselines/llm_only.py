@@ -18,7 +18,7 @@ from ..lang.printer import print_program
 from ..llm.client import ContextOverflow, LLMClient, VirtualClock
 from ..llm.oracle import (corrupt_step, extract_features,
                           generate_plan_batch, rank_candidate_rules)
-from ..miri import detect_case, detect_ub
+from ..miri import detect_case
 
 
 @dataclass
@@ -34,12 +34,6 @@ class LLMOnlyConfig:
     #: seeded Fig. 8/9 baseline numbers stay bit-identical; campaigns opt
     #: in with ``llm_only?batched=on``.
     batched: bool = False
-    #: Answer the F1 detection from the process-wide
-    #: :func:`repro.miri.detect_case` memo (exact-text keys), so ensemble
-    #: members and repeated arms consulting the same case source share
-    #: one interpreter run.  Byte-identical outcomes either way;
-    #: ``fingerprint=off`` restores the memo-free execution profile.
-    fingerprint: bool = True
 
 
 class LLMOnlyRepair:
@@ -56,8 +50,7 @@ class LLMOnlyRepair:
         self._repair_index += 1
 
         clock.advance(config.detector_seconds)
-        report = detect_case(source, collect=True) if config.fingerprint \
-            else detect_ub(source, collect=True)
+        report = detect_case(source, collect=True)
         if report.passed:
             return self._outcome(client, True, source, 0, 0)
         try:
@@ -107,7 +100,7 @@ class LLMOnlyRepair:
                     candidate = retouched
             clock.advance(config.detector_seconds)
             repaired_source = print_program(candidate)
-            verdict = detect_ub(repaired_source)
+            verdict = detect_case(repaired_source)
             if verdict.passed:
                 return self._outcome(client, True, repaired_source, steps,
                                      hallucinations)

@@ -21,7 +21,7 @@ from ..lang.parser import parse_program
 from ..lang.printer import print_program
 from ..llm.client import ContextOverflow, LLMClient, VirtualClock
 from ..llm.oracle import CATEGORY_RULE_PRIORS, corrupt_step, extract_features
-from ..miri import detect_ub
+from ..miri import detect_case
 
 #: The fixed strategy order: replacement → assertion → modification.
 _FIXED_KIND_ORDER = (FixKind.REPLACE, FixKind.ASSERT, FixKind.MODIFY)
@@ -81,7 +81,7 @@ class RustAssistant:
                                   + self._repair_index * 40503) % 100 < 55
 
         clock.advance(config.detector_seconds)
-        report = detect_ub(source, collect=True)
+        report = detect_case(source, collect=True)
         if report.passed:
             return self._outcome(client, True, source, 0, 0, 0, [])
         try:
@@ -118,7 +118,7 @@ class RustAssistant:
                 if retouched is not None:
                     candidate = retouched
             clock.advance(config.detector_seconds)
-            verdict = detect_ub(print_program(candidate), collect=True)
+            verdict = detect_case(print_program(candidate), collect=True)
             sequences.append(verdict.error_count)
             rollback.observe(candidate, verdict.error_count)
             if verdict.passed:

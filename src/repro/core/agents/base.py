@@ -15,7 +15,7 @@ from ...lang import ast_nodes as ast
 from ...lang.printer import print_program
 from ...llm.client import LLMClient
 from ...llm.oracle import corrupt_step
-from ...miri import BatchVerifier, detect_ub
+from ...miri import detect_case
 from ...miri.errors import MiriReport
 from ..rewrites import apply_rule
 from ..solution import Step
@@ -39,14 +39,10 @@ class FixAgent:
     """One of: safe_replacement / assertion / modification."""
 
     def __init__(self, name: str, client: LLMClient,
-                 detector_seconds: float = 0.8,
-                 verifier: BatchVerifier | None = None):
+                 detector_seconds: float = 0.8):
         self.name = name
         self.client = client
         self.detector_seconds = detector_seconds
-        #: Shared per-repair verification memo (batched detector); ``None``
-        #: falls back to one :func:`detect_ub` call per verification.
-        self.verifier = verifier
         self.steps_executed = 0
         self.hallucinations = 0
 
@@ -68,13 +64,9 @@ class FixAgent:
             if retouched is not None:
                 transformed = retouched
         # The clock charges every verification in full (a real sequential
-        # run would pay it); the verifier only saves wall-clock work when
-        # candidates coincide.
+        # run would pay it); the detector memo only saves wall-clock work
+        # when candidates coincide.
         self.client.clock.advance(self.detector_seconds)
-        source = print_program(transformed)
-        if self.verifier is not None:
-            report = self.verifier.verify(source)
-        else:
-            report = detect_ub(source, collect=True)
+        report = detect_case(print_program(transformed), collect=True)
         return AgentResult(step, execution.rule, execution.hallucinated,
                            transformed, report, report.error_count)

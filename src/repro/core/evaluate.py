@@ -11,53 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..miri import DETECTOR_STATS, detect_ub_batch, source_fingerprint
-from ..miri.errors import MiriReport
-
-#: Process-wide observable-trace memo for the exec metric, keyed by the
-#: normalized :func:`~repro.miri.source_fingerprint`.  The detector is a
-#: pure function of the *program* — and a trace (pass verdict + stdout)
-#: is invariant under formatting and consistent identifier renaming — so
-#: a trace computed once is valid for the life of the process, and a
-#: repair that reproduces the developer reference up to formatting is
-#: not re-interpreted at all.  Campaigns re-verify the same reference
-#: for every (arm, seed) pair that repairs a case.  Bounded so a
-#: pathological workload cannot grow it without limit.
-_TRACE_MEMO: dict[str, tuple[bool, tuple[str, ...]]] = {}
-_TRACE_MEMO_LIMIT = 4096
-
-
-def clear_trace_memo() -> None:
-    """Drop every memoized trace (results are unaffected — the detector is
-    pure).  For benchmarks that publish detector-run counts and must not
-    inherit warmth from earlier stages in the same process."""
-    _TRACE_MEMO.clear()
-
-
-def _traces(sources: tuple[str, ...]) -> list[tuple[bool, tuple[str, ...]]]:
-    """(passed, stdout) per source; unseen distinct *fingerprints* run in
-    one batched detector call, repeats are answered from the memo."""
-    fingerprints = [source_fingerprint(source) for source in sources]
-    missing: dict[str, str] = {}  # fingerprint -> representative source
-    for fingerprint, source in zip(fingerprints, sources):
-        if fingerprint not in _TRACE_MEMO and fingerprint not in missing:
-            missing[fingerprint] = source
-    fresh: dict[str, tuple[bool, tuple[str, ...]]] = {}
-    if missing:
-        # The representatives are fingerprint-distinct already, so the
-        # batch's own fingerprint pass would find nothing.
-        for fingerprint, report in zip(
-                missing, detect_ub_batch(list(missing.values()),
-                                         fingerprint=False)):
-            fresh[fingerprint] = (report.passed, tuple(report.stdout))
-            if len(_TRACE_MEMO) < _TRACE_MEMO_LIMIT:
-                _TRACE_MEMO[fingerprint] = fresh[fingerprint]
-    # Questions answered without reaching detect_ub_batch (memo hits and
-    # in-call duplicates) still count as requests; ``runs`` alone reflects
-    # the amortization.
-    DETECTOR_STATS.record(requests=len(sources) - len(missing))
-    return [fresh.get(fingerprint) or _TRACE_MEMO[fingerprint]
-            for fingerprint in fingerprints]
+from ..miri import detect_case
 
 
 @dataclass(frozen=True)
@@ -77,24 +31,23 @@ class Triplet:
 
 
 def observable_trace(source: str) -> tuple[bool, list[str]]:
-    """(passed, stdout) of a program under the detector."""
-    passed, stdout = _traces((source,))[0]
-    return passed, list(stdout)
+    """(passed, stdout) of a program under the detector.
+
+    Asked through :func:`~repro.miri.detect_case`, so a reference already
+    scored for another arm or seed is not re-interpreted.
+    """
+    report = detect_case(source)
+    return report.passed, report.stdout
 
 
 def semantically_acceptable(repaired_source: str,
                             reference_source: str) -> bool:
-    """Exec-metric check: repaired output must match the developer fix.
-
-    Both traces come from one batched, memoized detector pass — when the
-    repair *is* the developer fix the program is interpreted once, and a
-    reference already scored for another arm or seed is not re-interpreted
-    at all.
-    """
-    repaired, reference = _traces((repaired_source, reference_source))
-    if not (repaired[0] and reference[0]):
+    """Exec-metric check: repaired output must match the developer fix."""
+    repaired_passed, repaired_stdout = observable_trace(repaired_source)
+    reference_passed, reference_stdout = observable_trace(reference_source)
+    if not (repaired_passed and reference_passed):
         return False
-    return repaired[1] == reference[1]
+    return repaired_stdout == reference_stdout
 
 
 def evaluate_repair(repaired_source: str | None, reference_source: str,
@@ -102,7 +55,7 @@ def evaluate_repair(repaired_source: str | None, reference_source: str,
     """Assemble the full triplet for a finished repair attempt."""
     if repaired_source is None:
         return Triplet(False, None, seconds, tokens)
-    if not _traces((repaired_source,))[0][0]:
+    if not observable_trace(repaired_source)[0]:
         return Triplet(False, None, seconds, tokens)
     # The repaired trace above is a memo hit here — one interpretation.
     acceptable = semantically_acceptable(repaired_source, reference_source)

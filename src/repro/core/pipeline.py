@@ -10,6 +10,13 @@ Stage map (Fig. 2):
   rollback; if everything stalls, the abstract reasoning agent consults the
   knowledge base and a refinement round runs with the retrieved hints.
 * **S3** — verified plans are generalised into the feedback memory.
+
+Every detector question — F1 and each S2 verification — goes through
+:func:`repro.miri.detect_case`, whose process-wide memo answers repeats
+of the exact text: rewrite chains that return to an earlier program,
+solutions sharing leading rules, and other arms or ensemble members
+asking about the same case.  The virtual clock still charges every
+verification in full.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from ..lang.parser import parse_program
 from ..lang.printer import print_program
 from ..llm.client import ContextOverflow, LLMClient, VirtualClock
 from ..llm.oracle import rank_candidate_rules
-from ..miri import BatchVerifier, detect_ub
+from ..miri import detect_case
 from .agents.reasoning import AbstractReasoningAgent
 from .agents.rollback import RollbackPolicy
 from .features import CaseFeatures, analyse
@@ -48,22 +55,6 @@ class RustBrainConfig:
     #: virtual seconds per detector invocation (a real `cargo miri` run).
     detector_seconds: float = 0.8
     max_steps_per_solution: int = 4
-    #: Route S2 per-candidate verification through the batched detector
-    #: entry point (:func:`repro.miri.detect_ub_batch`): identical verdicts
-    #: and identical virtual-clock charges, strictly fewer interpreter
-    #: executions when candidates coincide.  ``batch_verify=off`` keeps the
-    #: one-detector-run-per-step path (the benchmark gates compare both).
-    batch_verify: bool = True
-    #: Normalized-AST dedup on top of batching (``batch_verify=on`` only):
-    #: the S2 verifier matches candidates by
-    #: :func:`repro.miri.source_fingerprint` (formatting- and
-    #: identifier-divergent spellings of one program verify once), and F1
-    #: detection goes through the process-wide
-    #: :func:`repro.miri.detect_case` memo shared with every other engine
-    #: consulting the same case source.  Outcomes are byte-identical
-    #: either way; ``fingerprint=off`` restores the exact-text engine
-    #: paths (the benchmark gates compare run counts).
-    fingerprint: bool = True
 
 
 @dataclass
@@ -115,24 +106,9 @@ class RustBrain:
                            clock=clock)
         self._repair_index += 1
 
-        # F1: detection.  The F1 report seeds the per-repair verification
-        # memo: any S2 rewrite chain that arrives back at the original
-        # program re-verifies for free (under fingerprinting even though
-        # the canonical print spells it differently than the raw input).
-        # With fingerprint=on the question itself goes through the
-        # process-wide case memo, so N ensemble members consulting this
-        # same source interpret it once between them.
-        verifier = BatchVerifier(fingerprint=config.fingerprint) \
-            if config.batch_verify else None
+        # F1: detection.
         clock.advance(config.detector_seconds)
-        if verifier is not None and config.fingerprint:
-            from ..miri import detect_case
-            report = detect_case(source, collect=True)
-            verifier.seed(source, report)
-        elif verifier is not None:
-            report = verifier.verify(source)
-        else:
-            report = detect_ub(source, collect=True)
+        report = detect_case(source, collect=True)
         if report.passed:
             return self._outcome(client, True, source, 0, 0, 0, 0, [], [],
                                  used_kb=False, used_feedback=False)
@@ -145,8 +121,7 @@ class RustBrain:
 
         slow = SlowThinking(client, config.rollback,
                             config.detector_seconds,
-                            config.max_steps_per_solution,
-                            verifier=verifier)
+                            config.max_steps_per_solution)
         reasoning = (AbstractReasoningAgent(client, self.kb,
                                             config.use_pruning)
                      if self.kb is not None else None)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from ..lang import ast_nodes as ast
 from ..llm.client import LLMClient
-from ..miri import BatchVerifier
 from .agents.base import AgentResult, FixAgent
 from .agents.rollback import RollbackAgent, RollbackPolicy
 from .solution import Solution
@@ -35,19 +34,12 @@ class SlowThinking:
     def __init__(self, client: LLMClient,
                  rollback_policy: RollbackPolicy = RollbackPolicy.ADAPTIVE,
                  detector_seconds: float = 0.8,
-                 max_steps_per_solution: int = 4,
-                 verifier: BatchVerifier | None = None):
+                 max_steps_per_solution: int = 4):
         self.client = client
         self.rollback_policy = rollback_policy
         self.max_steps = max_steps_per_solution
-        #: One batched-verification memo shared by all three agents, so the
-        #: dedup spans every solution and round of the repair this instance
-        #: serves — and, when the verifier fingerprints, formatting- or
-        #: identifier-divergent spellings of one candidate program too;
-        #: ``None`` keeps the one-detector-run-per-step path.
-        self.verifier = verifier
         self.agents = {
-            name: FixAgent(name, client, detector_seconds, verifier)
+            name: FixAgent(name, client, detector_seconds)
             for name in ("safe_replacement", "assertion", "modification")
         }
 

@@ -63,7 +63,9 @@ CACHE_SCHEMA = "repro.result-cache/1"
 #: Epoch 5: shared ExecutorService + fingerprint-deduplicated
 #: verification (detect_case memo, normalized-AST verifier dedup, new
 #: fingerprint= engine flags) — outcomes are gated byte-identical, but
-#: the execution profile behind every cached report changed.
+#: the execution profile behind every cached report changed.  Removing
+#: the dedup layer and its flags later changed no report, so the epoch
+#: stayed.
 CACHE_EPOCH = 5
 
 _SEP = "\x1f"  # unit separator: cannot appear in specs, names, or numbers

@@ -1,20 +1,22 @@
-"""Normalized-AST source fingerprints for detector-level deduplication.
+"""Normalized-AST source fingerprints.
 
 The detector is a pure function of the *program*, not of the bytes that
 spell it: whitespace, comments, redundant formatting, and a consistent
 renaming of user-chosen identifiers all leave every verdict, error count,
 and observable output unchanged.  :func:`source_fingerprint` computes a
-stable hash of that equivalence class, which is what lets
-:func:`~repro.miri.detect_ub_batch` and the
-:class:`~repro.miri.BatchVerifier` answer formatting-divergent duplicate
-candidates with a single interpreter run.
+stable hash of that equivalence class.  Corpus manifests store it as an
+integrity check, and the corpus generator classifies its mutation
+operators by it: the rename operator draws on :func:`renameable_names`,
+so its mutants collide with their parent.  Detector answers are *not*
+shared by fingerprint — :func:`~repro.miri.detect_case` keys on exact
+text.
 
 Normalization pipeline (``FINGERPRINT_VERSION`` tags the rules):
 
-1. **Parse** the source (through the memoized
-   :func:`~repro.lang.parser.parse_program`) and pretty-print it back —
-   this alone erases comments, whitespace, and redundant formatting, and
-   drops every span.
+1. **Parse** the source (reading the parse memo's shared tree,
+   :func:`~repro.lang.parser._parse_program_cached`, which is never
+   written) and pretty-print it back — this alone erases comments,
+   whitespace, and redundant formatting, and drops every span.
 2. **Re-lex** the canonical text and alpha-rename user identifiers by
    order of first appearance (``§0``, ``§1``, …).
 3. **Hash** the resulting ``kind:text`` token stream with SHA-256.
@@ -40,9 +42,9 @@ renamed when the interpreter provably attaches no meaning to it:
 Two sources with equal fingerprints therefore differ at most by
 formatting plus a behaviour-preserving renaming; their verdicts, error
 *counts*, and stdout coincide exactly (error *messages* and spans may
-still spell the other variant's names — see the sharing notes on
-:func:`~repro.miri.detect_ub_batch`).  Unparseable sources fall back to
-a raw-text hash, so they only ever deduplicate against byte-identical
+still spell each variant's own names and positions, which is why no
+report is shared across fingerprints).  Unparseable sources fall back
+to a raw-text hash, so they only ever collide with byte-identical
 inputs.
 """
 
@@ -53,7 +55,7 @@ from functools import lru_cache
 
 from ..lang import ast_nodes as ast
 from ..lang.lexer import tokenize
-from ..lang.parser import _MACRO_NAMES, parse_program
+from ..lang.parser import _MACRO_NAMES, _parse_program_cached
 from ..lang.printer import print_program
 from ..lang.tokens import TokenKind as T
 from ..lang.types import PRIMITIVES
@@ -148,7 +150,7 @@ def renameable_names(source: str) -> set[str]:
     choice again — which is why rename mutants collide with their parent
     under :func:`source_fingerprint`.  Raises on unparseable input.
     """
-    program = parse_program(source)
+    program = _parse_program_cached(source)
     tokens = tokenize(print_program(program))
     return _declared_names(program) - _PROTECTED - _excluded_names(tokens)
 
@@ -157,7 +159,7 @@ def normalized_tokens(source: str) -> list[str]:
     """The canonical ``kind:text`` token stream :func:`source_fingerprint`
     hashes, with user identifiers alpha-renamed.  Raises on unparseable
     input (callers wanting the fallback use :func:`source_fingerprint`)."""
-    program = parse_program(source)
+    program = _parse_program_cached(source)
     canonical = print_program(program)
     tokens = tokenize(canonical)
     renameable = _declared_names(program) - _PROTECTED \
@@ -181,8 +183,9 @@ def normalized_tokens(source: str) -> list[str]:
 def source_fingerprint(source: str) -> str:
     """Stable normalization hash of one source text (see module docs).
 
-    Memoized on the text — campaigns re-fingerprint the same candidates
-    constantly, and the parse behind a fingerprint must stay amortized.
+    Memoized on the text — manifests and the generator re-fingerprint
+    the same sources, and the parse behind a fingerprint must stay
+    amortized.
     """
     try:
         stream = normalized_tokens(source)
@@ -194,8 +197,3 @@ def source_fingerprint(source: str) -> str:
     digest.update(f"{FINGERPRINT_VERSION}{_SEP}ast{_SEP}".encode("utf-8"))
     digest.update(_SEP.join(stream).encode("utf-8"))
     return digest.hexdigest()
-
-
-def fingerprint_cache_info():
-    """The memo's ``lru_cache`` statistics (for diagnostics and tests)."""
-    return source_fingerprint.cache_info()

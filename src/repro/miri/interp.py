@@ -191,10 +191,10 @@ def run_program(program: ast.Program, *, fuel: int = DEFAULT_FUEL,
                 debug: bool = False) -> MiriReport:
     """Construct-and-run one interpreter over ``program``.
 
-    The single execution point shared by :func:`repro.miri.detect_ub` and
-    :func:`repro.miri.detect_ub_batch` — detector-invocation accounting
-    hangs off calls to this function, so batched verification can prove it
-    executes strictly fewer interpreters than one-call-per-candidate.
+    The single execution point behind :func:`repro.miri.detect_ub` and
+    :func:`repro.miri.detect_case`; the detector counts one
+    ``DETECTOR_STATS.runs`` per call it makes here, so the memo can show
+    it executes fewer interpreters than it answers questions.
 
     The interpreter never writes to ``program``, so callers may hand it a
     tree shared with other readers (the detector runs the parse memo's

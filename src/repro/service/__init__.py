@@ -5,9 +5,8 @@ The batch path sweeps a fixed dataset through a
 engines one request at a time — ``repro serve`` — with admission control
 (token buckets + a bounded queue, both budget-aware through the shared
 :data:`~repro.engine.pool.EXECUTOR_SERVICE`), request coalescing on the
-normalized source fingerprint, a read-through
-:class:`~repro.engine.cache.ResultCache` tier, and per-request telemetry
-streamed as server-sent events.  Responses are byte-identical to the
+exact cache key, a read-through :class:`~repro.engine.cache.ResultCache`
+tier, and per-request telemetry streamed as server-sent events.  Responses are byte-identical to the
 batch path for the same ``(spec, seed, source)``; see DESIGN.md
 ("Serving") and docs/reference.md for the wire contract.
 """

@@ -33,7 +33,6 @@ from ..engine.telemetry import (CacheQueried, CampaignObserver, CaseFinished,
                                 CaseStarted, EngineFinished, EngineStarted,
                                 MemberFinished, RetryAttempted, RoundFinished)
 from ..engine.types import RepairRequest, run_request
-from ..miri import source_fingerprint
 from ..miri.errors import UbKind
 
 
@@ -165,26 +164,18 @@ class JobConfig:
         return case_seed(base_seed, self.request.index)
 
 
-def coalesce_key(config: JobConfig) -> tuple:
+def coalesce_key(config: JobConfig) -> str:
     """Identity of an execution two in-flight requests may share.
 
-    The issue's ``(EngineSpec, seed, source_fingerprint)`` triple plus
-    every other input that can influence the report — model, temperature,
-    case metadata, the reference program — so coalescing can never merge
-    two requests a campaign would have answered differently.  The source
-    enters as its normalized fingerprint: formatting-divergent duplicates
-    share one execution (their verdicts are identical by the detector's
-    fingerprint invariant; the shared report spells the leader's
-    ``repaired_source`` variant, like batched verification does).
+    The request's :func:`cache_key_for` key: it covers every input that
+    can influence the report — spec, model, temperature, derived seed,
+    case metadata, and the exact source and reference texts — so two
+    requests coalesce exactly when a campaign would answer them from one
+    cache entry.  A reformatted source gets its own execution: moving
+    spans changes the rendered report in the LLM prompt, and with it
+    tokens and virtual seconds.
     """
-    request = config.request
-    return ("case", config.spec.to_string(), config.model,
-            f"{config.temperature:.6g}", config.derived_seed(),
-            request.name, request.difficulty,
-            request.category.value if request.category else None,
-            source_fingerprint(request.reference_source)
-            if request.reference_source is not None else None,
-            source_fingerprint(request.source))
+    return cache_key_for(config)
 
 
 def cache_key_for(config: JobConfig) -> str:

@@ -83,7 +83,7 @@ class Job:
 
     id: str
     config: JobConfig
-    key: tuple
+    key: str
     events: EventLog
     done: asyncio.Event
     status: str = "queued"  # queued | running | done | failed | cancelled
@@ -166,7 +166,7 @@ class RepairServer:
         self.counters = Counters()
         self._queue: deque[Job] = deque()
         self._running: set[Job] = set()
-        self._inflight: dict[tuple, Job] = {}
+        self._inflight: dict[str, Job] = {}
         self._jobs: OrderedDict[str, Job] = OrderedDict()
         self._finished_order: deque[str] = deque()
         self._next_id = 0
@@ -354,7 +354,7 @@ class RepairServer:
             job = self._admit(config, key)
         await self._reply_for(writer, job, config, coalesced)
 
-    def _admit(self, config: JobConfig, key: tuple) -> Job:
+    def _admit(self, config: JobConfig, key: str) -> Job:
         admitted, wait = self.breaker.allow()
         if not admitted:
             self.counters.rejected_breaker += 1

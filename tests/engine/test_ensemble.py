@@ -570,7 +570,7 @@ class TestCaching:
 
 
 # ---------------------------------------------------------------------------
-# Cross-member detection memo (fingerprint layer)
+# Cross-member detection memo (exact-text detect_case)
 
 
 class TestCrossMemberMemo:
@@ -580,7 +580,6 @@ class TestCrossMemberMemo:
         CASE_MEMO.clear()
         yield
         CASE_MEMO.clear()
-        CASE_MEMO.enabled = True
 
     def test_members_share_one_case_detection(self, small):
         # N members all run F1 on the identical case source; the memo
@@ -593,34 +592,41 @@ class TestCrossMemberMemo:
         assert DETECTOR_STATS.case_memo_hits >= 2  # members 2 and 3 hit
         assert len(CASE_MEMO) >= 1
 
-    def test_outcomes_identical_to_memo_free_run(self, small):
-        # Byte-identity vs the PR-4 execution profile: the same ensemble
-        # with the memo disabled and fingerprinting off produces the
-        # exact same RepairOutcome for every case.
+    @pytest.mark.parametrize("spec", ["rustbrain", "llm_only?batched=on",
+                                      "rustassistant", "cascade", "switch"])
+    def test_outcomes_identical_to_memo_free_run(self, small, spec,
+                                                 monkeypatch):
+        # A memo that never answers is the memo-free profile: every
+        # question runs the interpreter.  Outcomes must not move.
         from repro.miri import CASE_MEMO
-        members = "gpt-3.5+rustbrain:gpt-4"
-        off_members = ("gpt-3.5;fingerprint=off"
-                       "+rustbrain;fingerprint=off:gpt-4")
+        cases = list(small)[:4]
 
-        def strip_member_specs(outcome):
-            # The member spec string legitimately differs (it spells the
-            # fingerprint=off override); everything else must not.
-            payload = dict(vars(outcome))
-            payload["members"] = [
-                {key: value for key, value in member.items()
-                 if key != "member"} for member in outcome.members]
-            return payload
+        def outcomes():
+            engine = create_engine(spec, seed=SEED)
+            return [vars(engine.repair(case.source, case.difficulty))
+                    for case in cases]
 
-        for case in list(small)[:4]:
-            on = create_engine(f"cascade?members={members}",
-                               seed=SEED).repair(case.source,
-                                                 case.difficulty)
-            CASE_MEMO.enabled = False
-            off = create_engine(f"cascade?members={off_members}",
-                                seed=SEED).repair(case.source,
-                                                  case.difficulty)
-            CASE_MEMO.enabled = True
-            assert strip_member_specs(on) == strip_member_specs(off)
+        memoized = outcomes()
+        monkeypatch.setattr(CASE_MEMO, "lookup", lambda key: None)
+        assert outcomes() == memoized
+
+    @pytest.mark.parametrize("spec", ["rustbrain", "llm_only",
+                                      "rustassistant", "compile_fix"])
+    def test_repeat_repair_runs_no_interpreter(self, small, spec):
+        # F1, every per-step verification and every candidate check go
+        # through the memo, so a fresh engine repeating a repair at the
+        # same seed asks only questions the memo has answered.
+        from repro.miri import DETECTOR_STATS
+        case = list(small)[0]
+        first = create_engine(spec, seed=SEED).repair(case.source,
+                                                      case.difficulty)
+        before = DETECTOR_STATS.snapshot()
+        again = create_engine(spec, seed=SEED).repair(case.source,
+                                                      case.difficulty)
+        after = DETECTOR_STATS.snapshot()
+        assert vars(again) == vars(first)
+        assert after["requests"] > before["requests"]
+        assert after["runs"] == before["runs"]
 
     def test_switch_routing_rides_the_memo(self, small):
         from repro.miri import DETECTOR_STATS

@@ -1,9 +1,8 @@
-"""Batched detector entry point: dedup, alignment, stats, verifier memo."""
+"""Detector accounting: run_program parity, stats, exec-metric scoring."""
 
 import pytest
 
-from repro.miri import (BatchVerifier, DETECTOR_STATS, DetectorStats,
-                        detect_ub, detect_ub_batch, run_program)
+from repro.miri import DETECTOR_STATS, DetectorStats, detect_ub, run_program
 from repro.lang.parser import parse_program
 
 BUGGY = """
@@ -35,98 +34,18 @@ def _verdict(report):
             list(report.stdout))
 
 
-class TestDetectUbBatch:
-    def test_positional_alignment_matches_detect_ub(self):
-        sources = [BUGGY, CLEAN, PANICKY]
-        batch = detect_ub_batch(sources)
-        singles = [detect_ub(source) for source in sources]
-        assert [_verdict(r) for r in batch] == \
-            [_verdict(r) for r in singles]
-
-    def test_duplicates_get_defensive_copies(self):
-        # Duplicates are interpreted once but each position owns its
-        # report: mutating one must never corrupt another (the aliasing
-        # the PR-4 implementation documented away is gone).
-        batch = detect_ub_batch([CLEAN, BUGGY, CLEAN, CLEAN])
-        assert batch[0] is not batch[2] and batch[2] is not batch[3]
-        assert _verdict(batch[0]) == _verdict(batch[2]) == _verdict(batch[3])
-        assert batch[0].passed and not batch[1].passed
-        batch[2].stdout.append("corrupted")
-        batch[2].errors.append(batch[1].errors[0])
-        assert "corrupted" not in batch[0].stdout
-        assert batch[0].passed and batch[3].passed and not batch[3].errors
-
-    def test_duplicates_interpret_once(self):
-        DETECTOR_STATS.reset()
-        detect_ub_batch([CLEAN, CLEAN, BUGGY, CLEAN])
-        assert DETECTOR_STATS.requests == 4
-        assert DETECTOR_STATS.runs == 2
-
-    def test_collect_mode_respected(self):
-        report = detect_ub_batch([BUGGY], collect=True)[0]
-        assert report.error_count == detect_ub(BUGGY,
-                                               collect=True).error_count
-
-    def test_parse_errors_surface_per_source(self):
-        batch = detect_ub_batch(["fn main( {", CLEAN])
-        assert not batch[0].passed
-        assert batch[1].passed
-
-    def test_program_inputs_are_not_deduplicated(self):
-        program = parse_program(CLEAN)
-        batch = detect_ub_batch([program, program])
-        assert batch[0] is not batch[1]
-        assert batch[0].passed and batch[1].passed
-
-    def test_empty_batch(self):
-        assert detect_ub_batch([]) == []
-
-
 class TestRunProgram:
     def test_matches_detect_ub(self):
         program = parse_program(PANICKY)
         assert _verdict(run_program(program)) == _verdict(detect_ub(PANICKY))
 
 
-class TestBatchVerifier:
-    def test_memo_answers_repeats_without_running(self):
-        verifier = BatchVerifier()
-        first = verifier.verify(CLEAN)
-        again = verifier.verify(CLEAN)
-        assert again is first
-        assert verifier.requests == 2
-        assert verifier.runs == 1
-
-    def test_verdicts_match_detect_ub(self):
-        verifier = BatchVerifier(collect=True)
-        assert _verdict(verifier.verify(BUGGY)) == \
-            _verdict(detect_ub(BUGGY, collect=True))
-
-    def test_verify_batch_runs_distinct_sources_once(self):
-        verifier = BatchVerifier()
-        reports = verifier.verify_batch([CLEAN, BUGGY, CLEAN])
-        assert reports[0] is reports[2]
-        assert verifier.requests == 3
-        assert verifier.runs == 2
-        verifier.verify_batch([BUGGY, PANICKY])
-        assert verifier.runs == 3
-
-    def test_global_stats_count_memo_hits_as_requests(self):
-        verifier = BatchVerifier()
-        DETECTOR_STATS.reset()
-        verifier.verify(CLEAN)
-        verifier.verify(CLEAN)
-        assert DETECTOR_STATS.requests == 2
-        assert DETECTOR_STATS.runs == 1
-
-
 class TestDetectorStats:
     def test_record_snapshot_reset(self):
         stats = DetectorStats()
         stats.record(requests=3, runs=2)
-        stats.record(fingerprint_hits=1, case_memo_hits=1)
+        stats.record(case_memo_hits=1)
         assert stats.snapshot() == {"requests": 3, "runs": 2,
-                                    "fingerprint_hits": 1,
                                     "case_memo_hits": 1}
         stats.reset()
         assert set(stats.snapshot().values()) == {0}

@@ -9,10 +9,14 @@ produce (the hand-written UB corpus, the compile-error corpus, and 500
 seeded generator mutants) runs in both collect modes, and:
 
 * each memo tree hashes the same, over every node's fields including
-  spans and ``node_id``, before and after :func:`run_program`;
+  spans and ``node_id``, before and after :func:`run_program`,
+  :func:`~repro.miri.source_fingerprint` and
+  :func:`~repro.miri.fingerprint.renameable_names`;
 * ``detect_ub(text)`` on the shared tree equals a run on a private
-  :func:`~repro.lang.ast_nodes.clone`, equals itself back to back, and
-  equals the :func:`~repro.miri.detect_ub_batch` answer;
+  :func:`~repro.lang.ast_nodes.clone` and equals itself back to back;
+* the :func:`~repro.miri.detect_case` memo is transparent: its answers
+  equal back-to-back ``detect_ub`` on a cold memo, a warm one, one that
+  evicts, and under four threads;
 * :func:`~repro.lang.parser.parse_program` still hands its callers
   private clones, so their rewrites never reach the shared tree;
 * every node span and every report span lies inside its source;
@@ -20,7 +24,9 @@ seeded generator mutants) runs in both collect modes, and:
   reports;
 * borrow-tag numbering restarts per run on one shared tree.
 
-Any failure here means the detector must go back to cloning.
+Any failure in the tree checks means the detector must go back to
+cloning; any failure in the memo checks means the memo changed an
+answer.
 """
 
 import hashlib
@@ -39,7 +45,8 @@ from repro.lang.lexer import LexError
 from repro.lang.parser import (ParseError, _parse_program_cached,
                                parse_program)
 from repro.lang.span import DUMMY_SPAN
-from repro.miri import detect_ub, detect_ub_batch
+from repro.miri import CASE_MEMO, detect_case, detect_ub
+from repro.miri.fingerprint import renameable_names, source_fingerprint
 from repro.miri.interp import run_program
 
 GENERATED_COUNT = 500
@@ -119,6 +126,9 @@ def corpus_sources():
 class TestInterpreterIsReadOnly:
     @COLLECT_MODES
     def test_memo_trees_unchanged_by_runs(self, corpus_sources, collect):
+        # The fingerprint and the rename analysis read the same shared
+        # trees, so they are held to the same read-only bar.
+        source_fingerprint.cache_clear()
         parsed = changed = 0
         for source in corpus_sources:
             tree = _memo_tree(source)
@@ -127,6 +137,9 @@ class TestInterpreterIsReadOnly:
             parsed += 1
             before = tree_digest(tree)
             run_program(tree, collect=collect)
+            source_fingerprint(source)
+            renameable_names(source)
+            assert _parse_program_cached(source) is tree
             if tree_digest(tree) != before:
                 changed += 1
         assert parsed > 700
@@ -172,16 +185,35 @@ class TestSharedTreeReports:
         assert not mismatches, f"sources {mismatches[:10]} diverged"
 
     @COLLECT_MODES
-    def test_batch_equals_back_to_back(self, corpus_sources, collect):
-        # The batch path interprets the same memo trees; exact-text
-        # duplicates (the corpora repeat some fixed sources) get copies.
-        batch = detect_ub_batch(corpus_sources, collect=collect,
-                                fingerprint=False)
+    def test_case_memo_equals_back_to_back(self, corpus_sources, collect):
+        # Cold, then warm: the corpora repeat some fixed sources, so the
+        # cold sweep already mixes runs and hits.
+        CASE_MEMO.clear()
         single = [detect_ub(source, collect=collect)
                   for source in corpus_sources]
-        assert len(batch) == len(single)
-        mismatches = [index for index, (ours, theirs)
-                      in enumerate(zip(batch, single)) if ours != theirs]
+        for sweep in ("cold", "warm"):
+            memo = [detect_case(source, collect=collect)
+                    for source in corpus_sources]
+            mismatches = [index for index, (ours, theirs)
+                          in enumerate(zip(memo, single)) if ours != theirs]
+            assert not mismatches, \
+                f"{sweep}: sources {mismatches[:10]} diverged"
+
+    @COLLECT_MODES
+    def test_evicting_memo_equals_back_to_back(self, corpus_sources,
+                                               collect, monkeypatch):
+        monkeypatch.setattr(CASE_MEMO, "limit", 8)
+        CASE_MEMO.clear()
+        mismatches = []
+        for index, source in enumerate(corpus_sources):
+            # Ask twice: the second answer is a hit, which eviction of
+            # the other entries must not disturb.
+            first = detect_case(source, collect=collect)
+            again = detect_case(source, collect=collect)
+            if not first == again == detect_ub(source, collect=collect):
+                mismatches.append(index)
+            assert len(CASE_MEMO) <= 8
+        CASE_MEMO.clear()
         assert not mismatches, f"sources {mismatches[:10]} diverged"
 
 
@@ -231,6 +263,31 @@ class TestSpansMapIntoSource:
         assert not outside, f"error spans outside their source: {outside[:5]}"
 
 
+def _sweep_in_threads(sample: list[str], ask) -> list[list]:
+    """Reports from ``THREADS`` threads each asking ``ask`` about every
+    source; rotated orders put different threads on the same source at
+    the same time."""
+    start = threading.Barrier(THREADS)
+
+    def sweep(offset: int):
+        start.wait(timeout=60)
+        order = [(offset * 7 + i) % len(sample) for i in range(len(sample))]
+        reports = [None] * len(sample)
+        for i in order:
+            reports[i] = ask(sample[i])
+        return reports
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(SWITCH_INTERVAL)
+    try:
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            futures = [pool.submit(sweep, offset)
+                       for offset in range(THREADS)]
+            return [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(previous)
+
+
 class TestConcurrentSharing:
     @COLLECT_MODES
     def test_threads_reproduce_serial_reports(self, corpus_sources,
@@ -239,32 +296,24 @@ class TestConcurrentSharing:
         serial = [detect_ub(source, collect=collect) for source in sample]
         digests = [tree_digest(_parse_program_cached(source))
                    for source in sample]
-        start = threading.Barrier(THREADS)
-
-        def sweep(offset: int):
-            # Rotated orders put different threads on the same tree at
-            # the same time.
-            start.wait(timeout=60)
-            order = [(offset * 7 + i) % len(sample)
-                     for i in range(len(sample))]
-            reports = [None] * len(sample)
-            for i in order:
-                reports[i] = detect_ub(sample[i], collect=collect)
-            return reports
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(SWITCH_INTERVAL)
-        try:
-            with ThreadPoolExecutor(max_workers=THREADS) as pool:
-                futures = [pool.submit(sweep, offset)
-                           for offset in range(THREADS)]
-                results = [future.result(timeout=300) for future in futures]
-        finally:
-            sys.setswitchinterval(previous)
+        results = _sweep_in_threads(
+            sample, lambda source: detect_ub(source, collect=collect))
         for reports in results:
             assert reports == serial
         assert [tree_digest(_parse_program_cached(source))
                 for source in sample] == digests
+
+    @COLLECT_MODES
+    def test_threads_through_the_case_memo(self, corpus_sources, collect):
+        sample = corpus_sources[:THREADED_SOURCES]
+        serial = [detect_ub(source, collect=collect) for source in sample]
+        CASE_MEMO.clear()
+        results = _sweep_in_threads(
+            sample, lambda source: detect_case(source, collect=collect))
+        for reports in results:
+            assert reports == serial
+        # Every thread owns its reports: no two share a container.
+        assert len({id(reports[0].errors) for reports in results}) == THREADS
 
 
 class TestBorrowTagDeterminism:

@@ -1,9 +1,10 @@
-"""Normalized-AST fingerprints: equivalences, non-collisions, memo layers."""
+"""Normalized-AST fingerprints (equivalences, non-collisions) and the
+exact-text detector memo."""
 
 import pytest
 
-from repro.miri import (BatchVerifier, CASE_MEMO, DETECTOR_STATS, detect_case,
-                        detect_ub, detect_ub_batch, source_fingerprint)
+from repro.miri import (CASE_MEMO, DETECTOR_STATS, CaseMemo, detect_case,
+                        detect_ub, source_fingerprint)
 from repro.miri.fingerprint import normalized_tokens
 
 BASE = """
@@ -191,65 +192,12 @@ class TestNormalization:
         assert source_fingerprint(flat) == source_fingerprint(spread)
 
 
-class TestBatchFingerprintDedup:
-    def test_formatting_divergent_duplicates_interpret_once(self):
-        DETECTOR_STATS.reset()
-        batch = detect_ub_batch([BUGGY, BUGGY_RENAMED])
-        assert DETECTOR_STATS.requests == 2
-        assert DETECTOR_STATS.runs == 1
-        assert DETECTOR_STATS.fingerprint_hits == 1
-        assert [r.passed for r in batch] == [False, False]
-        assert [e.kind for e in batch[0].errors] == \
-            [e.kind for e in batch[1].errors]
-
-    def test_fingerprint_off_restores_textual_dedup(self):
-        DETECTOR_STATS.reset()
-        detect_ub_batch([BUGGY, BUGGY_RENAMED], fingerprint=False)
-        assert DETECTOR_STATS.runs == 2
-        assert DETECTOR_STATS.fingerprint_hits == 0
-
-    def test_verdicts_match_per_source_detection(self):
-        batch = detect_ub_batch([BASE, RENAMED, BUGGY_RENAMED])
-        singles = [detect_ub(source)
-                   for source in (BASE, RENAMED, BUGGY_RENAMED)]
-        assert [(r.passed, [e.kind for e in r.errors], list(r.stdout))
-                for r in batch] == \
-            [(r.passed, [e.kind for e in r.errors], list(r.stdout))
-             for r in singles]
-
-
-class TestVerifierFingerprint:
-    def test_normalized_repeat_hits_the_memo(self):
-        verifier = BatchVerifier()
-        first = verifier.verify(BUGGY)
-        again = verifier.verify(BUGGY_RENAMED)
-        assert again is first
-        assert verifier.runs == 1
-        assert verifier.fingerprint_hits == 1
-
-    def test_seed_preloads_the_memo(self):
-        verifier = BatchVerifier()
-        report = detect_ub(BUGGY, collect=True)
-        verifier.seed(BUGGY, report)
-        assert verifier.verify(BUGGY) is report
-        assert verifier.verify(BUGGY_RENAMED) is report
-        assert verifier.runs == 0
-
-    def test_fingerprint_off_keeps_textual_memo_only(self):
-        verifier = BatchVerifier(fingerprint=False)
-        verifier.verify(BUGGY)
-        verifier.verify(BUGGY_RENAMED)
-        assert verifier.runs == 2
-        assert verifier.fingerprint_hits == 0
-
-
 class TestCaseMemo:
     @pytest.fixture(autouse=True)
     def _fresh_memo(self):
         CASE_MEMO.clear()
         yield
         CASE_MEMO.clear()
-        CASE_MEMO.enabled = True
 
     def test_repeats_interpret_once_with_isolated_copies(self):
         DETECTOR_STATS.reset()
@@ -276,20 +224,57 @@ class TestCaseMemo:
             [e.kind for e in direct.errors]
         assert memoized.stdout == direct.stdout
 
-    def test_disabled_memo_always_runs(self):
-        CASE_MEMO.enabled = False
+    def test_fingerprint_equal_spellings_do_not_share(self):
+        # Only exact text is shared: a renamed spelling reports its own
+        # names and spans, so it is a second question and a second run.
+        assert source_fingerprint(BUGGY) == source_fingerprint(BUGGY_RENAMED)
         DETECTOR_STATS.reset()
-        detect_case(BUGGY, collect=True)
-        detect_case(BUGGY, collect=True)
+        first = detect_case(BUGGY, collect=True)
+        second = detect_case(BUGGY_RENAMED, collect=True)
         assert DETECTOR_STATS.runs == 2
         assert DETECTOR_STATS.case_memo_hits == 0
-        assert len(CASE_MEMO) == 0
+        assert second == detect_ub(BUGGY_RENAMED, collect=True)
+        assert [e.kind for e in first.errors] == \
+            [e.kind for e in second.errors]
 
     def test_bounded(self):
-        small = type(CASE_MEMO)(limit=1)
+        small = CaseMemo(limit=1)
         small.store(("a",), detect_ub(BASE))
         small.store(("b",), detect_ub(BASE))
         assert len(small) == 1
+        assert small.snapshot() == {"entries": 1, "limit": 1}
+
+    def test_least_recently_used_entry_is_evicted(self):
+        small = CaseMemo(limit=2)
+        report = detect_ub(BASE)
+        for key in ("a", "b", "c"):
+            small.store((key,), report)
+        assert len(small) == 2
+        assert small.lookup(("a",)) is None
+        assert small.lookup(("b",)) is report
+        assert small.lookup(("c",)) is report
+
+    def test_lookup_refreshes_recency(self):
+        small = CaseMemo(limit=2)
+        report = detect_ub(BASE)
+        small.store(("a",), report)
+        small.store(("b",), report)
+        assert small.lookup(("a",)) is report  # "b" is now the oldest
+        small.store(("c",), report)
+        assert small.lookup(("b",)) is None
+        assert small.lookup(("a",)) is report
+        assert small.lookup(("c",)) is report
+
+    def test_full_memo_keeps_memoizing(self, monkeypatch):
+        # Past the cap new questions still get stored (evicting old ones)
+        # rather than running on every repeat.
+        monkeypatch.setattr(CASE_MEMO, "limit", 1)
+        detect_case(BASE)
+        DETECTOR_STATS.reset()
+        detect_case(BUGGY)
+        detect_case(BUGGY)
+        assert DETECTOR_STATS.runs == 1
+        assert DETECTOR_STATS.case_memo_hits == 1
 
 
 class TestGeneratedMutantDifferential:

@@ -107,16 +107,32 @@ class TestCoalesceKey:
         second = JobConfig.from_payload(payload_for(case))
         assert coalesce_key(first) == coalesce_key(second)
 
-    def test_formatting_divergent_sources_share_a_key(self, case):
+    def test_formatting_divergent_sources_split_the_key(self, case):
         plain = JobConfig.from_payload(payload_for(case))
         commented = JobConfig.from_payload(payload_for(case))
         commented = dataclasses.replace(
             commented, request=dataclasses.replace(
                 commented.request,
                 source=case.source + "\n// trailing comment\n"))
-        assert coalesce_key(plain) == coalesce_key(commented)
-        # ... while the cache stays raw-source addressed.
-        assert cache_key_for(plain) != cache_key_for(commented)
+        assert coalesce_key(plain) != coalesce_key(commented)
+        # Coalescing and the cache address requests by one key.
+        assert coalesce_key(plain) == cache_key_for(plain)
+        assert coalesce_key(commented) == cache_key_for(commented)
+
+    def test_leading_comment_changes_the_report(self):
+        # Why a fingerprint cannot be the key: a leading comment keeps
+        # the program but shifts every span, the rendered report in the
+        # LLM prompt grows, and the repair costs different tokens.
+        case = list(load_dataset())[14]
+        reports = []
+        for source in (case.source, "// leading comment\n" + case.source):
+            config = JobConfig.from_payload(payload_for(
+                case, source=source, engine="rustbrain", seed=7, index=14))
+            reports.append(execute_repair(config).to_dict())
+        plain, commented = reports
+        assert plain["passed"] and commented["passed"]
+        assert plain["tokens"] != commented["tokens"]
+        assert plain["seconds"] != commented["seconds"]
 
     @pytest.mark.parametrize("change", [
         {"engine": "rustbrain"}, {"model": "gpt-3.5"}, {"seed": SEED + 1},

@@ -108,9 +108,8 @@ class TestRoundTrip:
                                   "jobs_tracked": 1}
         assert stats["coalescing"]["hit_rate"] == 0.0
         assert set(stats["detector"]) == {"requests", "runs",
-                                          "fingerprint_hits",
                                           "case_memo_hits"}
-        assert set(stats["case_memo"]) == {"entries", "limit", "enabled"}
+        assert set(stats["case_memo"]) == {"entries", "limit"}
         assert stats["budget"]["in_use"] >= 1  # the server's own lease
 
     def test_cache_tier_shared_with_batch_path(self, cases, tmp_path):

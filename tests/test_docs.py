@@ -65,10 +65,12 @@ class TestReferenceCheckerCatchesDrift:
         assert any("CaseResult: no documented" in error for error in errors)
 
     def test_strict_requires_every_schema_id(self, reference_text):
-        broken = reference_text.replace("repro.bench_ensemble/3",
-                                        "repro.bench_ensemble/9")
+        current = next(schema_id
+                       for schema_id in check_docs._current_schema_ids()
+                       if schema_id.startswith("repro.bench_ensemble/"))
+        broken = reference_text.replace(current, "repro.bench_ensemble/9")
         errors = check_docs.check_reference(broken, strict=True)
-        assert any("repro.bench_ensemble/3" in error for error in errors)
+        assert any(current in error for error in errors)
 
     def test_main_strict_needs_the_reference(self, capsys):
         assert check_docs.main(["--strict", str(ROOT / "README.md")]) == 1
@@ -123,3 +125,24 @@ class TestCheckerCatchesRot:
         errors = check_docs.check_file(doc, cli_options)
         assert len(errors) == 1
         assert errors[0].startswith(f"{doc}: stale schema id")
+
+    def test_unknown_engine_option_in_inline_code(self):
+        errors = check_docs.check_engine_specs(
+            "restore the old profile with `rustbrain?dedup=off`.")
+        assert len(errors) == 1
+        assert "'rustbrain?dedup=off' does not build" in errors[0]
+        assert check_docs.check_engine_specs(
+            "`rustbrain?kb=off` and `llm_only?batched=on` build.") == []
+
+    def test_engine_flag_values_in_shell_fences(self, tmp_path, cli_options):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "```bash\n"
+            "python -m repro.cli campaign --engine rustbrain \\\n"
+            "    --engine \"llm_only?quantum=on\"\n"
+            "```\n"
+            "Unregistered names and prose are not specs: `nosuch?x=1`, "
+            "`a?b`, rustbrain?dedup=off.\n", encoding="utf-8")
+        errors = check_docs.check_file(doc, cli_options)
+        assert len(errors) == 1
+        assert "'llm_only?quantum=on' does not build" in errors[0]

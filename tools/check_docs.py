@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checker: keep README/DESIGN/docs code blocks and links from rotting.
 
-Five mechanical checks over every tracked markdown file:
+Six mechanical checks over every tracked markdown file:
 
 1. **Python blocks compile.**  Every ```` ```python ```` fence must be
    valid syntax (doctest-style blocks are converted via
@@ -28,6 +28,11 @@ Five mechanical checks over every tracked markdown file:
    ``<name>`` the code writes under a different version is stale (a
    README still citing ``/1`` after a bump).  Changelog tables use bare
    version numbers, so history stays expressible.
+6. **Documented engine specs build.**  Every ``<engine>?…`` spec whose
+   ``<engine>`` is registered — as a whole inline code span, or as an
+   ``--engine`` value in a ```` ```bash ```` fence — must pass
+   ``create_engine``, so a removed config key cannot linger in an
+   example.
 
 Run:  python tools/check_docs.py            # checks the default doc set
       python tools/check_docs.py FILE...    # checks specific files
@@ -52,6 +57,9 @@ _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 _SCHEMA_ID_RE = re.compile(r"\brepro\.([a-z][\w-]*)/(\d+)")
+_INLINE_CODE_RE = re.compile(r"`([^`\s]+)`")
+_ENGINE_FLAG_RE = re.compile(r"--engine[ =]+([\"']?)([^\s\"']+)\1")
+_SHELL_LANGUAGES = ("bash", "sh", "shell", "console")
 
 
 def iter_code_blocks(text: str):
@@ -277,6 +285,35 @@ def check_reference(text: str, strict: bool = False) -> list[str]:
     return errors
 
 
+def _documented_specs(text: str):
+    """Spec-shaped strings: whole inline code spans, and ``--engine``
+    values in shell fences."""
+    yield from _INLINE_CODE_RE.findall(text)
+    for language, content, _line in iter_code_blocks(text):
+        if language in _SHELL_LANGUAGES:
+            for command in _joined_commands(content):
+                for _quote, value in _ENGINE_FLAG_RE.findall(command):
+                    yield value
+
+
+def check_engine_specs(text: str) -> list[str]:
+    """Every ``<registered engine>?…`` spec the text documents must
+    build through ``create_engine``."""
+    from repro.engine import create_engine
+    from repro.engine.registry import REGISTRY
+
+    errors = []
+    for spec in dict.fromkeys(_documented_specs(text)):
+        name, question_mark, _params = spec.partition("?")
+        if not question_mark or name not in REGISTRY:
+            continue
+        try:
+            create_engine(spec)
+        except ValueError as exc:
+            errors.append(f"engine spec {spec!r} does not build: {exc}")
+    return errors
+
+
 def check_links(path: pathlib.Path, text: str):
     """Every relative markdown link must resolve from the file's parent."""
     errors = []
@@ -297,12 +334,13 @@ def check_file(path: pathlib.Path,
     text = path.read_text(encoding="utf-8")
     errors = [f"{path}: {error}" for error in check_links(path, text)]
     errors.extend(f"{path}: {error}" for error in check_schema_ids(text))
+    errors.extend(f"{path}: {error}" for error in check_engine_specs(text))
     for language, content, line in iter_code_blocks(text):
         if language == "python":
             error = check_python_block(content)
             if error:
                 errors.append(f"{path}:{line}: {error}")
-        elif language in ("bash", "sh", "shell", "console"):
+        elif language in _SHELL_LANGUAGES:
             errors.extend(f"{path}:{line}: {error}"
                           for error in check_bash_block(content, cli_options))
     if path.name == _REFERENCE_DOC:
