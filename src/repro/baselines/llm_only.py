@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from ..core.rewrites import apply_rule
 from ..core.pipeline import RepairOutcome
+from ..core.view import program_view
 from ..engine.registry import apply_config_overrides, register_engine
-from ..lang.parser import parse_program
 from ..lang.printer import print_program
 from ..llm.client import ContextOverflow, LLMClient, VirtualClock
 from ..llm.oracle import (corrupt_step, extract_features,
@@ -54,7 +54,7 @@ class LLMOnlyRepair:
         if report.passed:
             return self._outcome(client, True, source, 0, 0)
         try:
-            program = parse_program(source)
+            view = program_view(source)
         except Exception:
             return self._outcome(client, False, None, 0, 0,
                                  reason="unparseable input")
@@ -66,8 +66,9 @@ class LLMOnlyRepair:
             # Batched fan-out: one feature extraction, then every attempt's
             # candidate sampled from a single generate_batch invocation.
             try:
-                features = extract_features(client, program, report)
-                plan_batch = generate_plan_batch(client, features, program,
+                features = extract_features(client, view.code,
+                                            view.unsafe_counts, report)
+                plan_batch = generate_plan_batch(client, features, view.code,
                                                  config.attempts, difficulty)
             except ContextOverflow:
                 return self._outcome(client, False, None, steps,
@@ -78,12 +79,13 @@ class LLMOnlyRepair:
                 plans = [plan_batch[attempt]]
             else:
                 try:
-                    features = extract_features(client, program, report)
+                    features = extract_features(client, view.code,
+                                                view.unsafe_counts, report)
                 except ContextOverflow:
                     return self._outcome(client, False, None, steps,
                                          hallucinations,
                                          reason="exceeds context limit")
-                plans = rank_candidate_rules(client, features, program, 1,
+                plans = rank_candidate_rules(client, features, view.code, 1,
                                              difficulty=difficulty)
             if not plans or not plans[0]:
                 continue
@@ -91,7 +93,9 @@ class LLMOnlyRepair:
             steps += 1
             if execution.hallucinated:
                 hallucinations += 1
-            candidate = apply_rule(program, execution.rule)
+            # Every candidate rewrites the input itself: the view's
+            # tokens let an absent pattern skip the clone.
+            candidate = apply_rule(view.tree, execution.rule, view.tokens)
             if candidate is None:
                 continue
             if execution.retouched:

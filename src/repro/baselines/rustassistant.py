@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from ..core.agents.rollback import RollbackAgent, RollbackPolicy
 from ..core.pipeline import RepairOutcome
 from ..core.rewrites import FixKind, REGISTRY, apply_rule
+from ..core.view import program_view
 from ..engine.registry import apply_config_overrides, register_engine
-from ..lang.parser import parse_program
 from ..lang.printer import print_program
 from ..llm.client import ContextOverflow, LLMClient, VirtualClock
 from ..llm.oracle import CATEGORY_RULE_PRIORS, corrupt_step, extract_features
@@ -85,13 +85,15 @@ class RustAssistant:
         if report.passed:
             return self._outcome(client, True, source, 0, 0, 0, [])
         try:
-            program = parse_program(source)
+            view = program_view(source)
         except Exception:
             return self._outcome(client, False, None, 0, 0, 0, [],
                                  reason="unparseable input")
+        program = view.tree
 
         try:
-            features = extract_features(client, program, report)
+            features = extract_features(client, view.code,
+                                        view.unsafe_counts, report)
         except ContextOverflow:
             return self._outcome(client, False, None, 0, 0, 0, [],
                                  reason="exceeds context limit")
@@ -110,7 +112,9 @@ class RustAssistant:
             steps += 1
             if execution.hallucinated:
                 hallucinations += 1
-            candidate = apply_rule(current, execution.rule)
+            candidate = apply_rule(
+                current, execution.rule,
+                view.tokens if current is program else None)
             if candidate is None:
                 continue
             if execution.retouched:
@@ -118,11 +122,12 @@ class RustAssistant:
                 if retouched is not None:
                     candidate = retouched
             clock.advance(config.detector_seconds)
-            verdict = detect_case(print_program(candidate), collect=True)
+            candidate_source = print_program(candidate)
+            verdict = detect_case(candidate_source, collect=True)
             sequences.append(verdict.error_count)
             rollback.observe(candidate, verdict.error_count)
             if verdict.passed:
-                return self._outcome(client, True, print_program(candidate),
+                return self._outcome(client, True, candidate_source,
                                      steps, hallucinations,
                                      rollback.rollbacks, sequences)
             current, current_errors = rollback.next_base(

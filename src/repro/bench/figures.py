@@ -217,17 +217,18 @@ def fig7_flexibility(seed: int = 3, case_name: str = "stackborrow_reborrow_1",
     """Generate 10 solutions for one semantic-modification UB and execute
     each independently, reporting agent order / verdicts / overhead."""
     from ..lang.parser import parse_program
-    from ..lang.printer import print_program
     from ..llm.client import LLMClient, VirtualClock
     from ..llm.oracle import rank_candidate_rules
     from ..core.features import analyse
     from ..core.slow import SlowThinking
     from ..core.knowledge import KnowledgeBase
     from ..core.agents.reasoning import AbstractReasoningAgent
+    from ..core.view import program_view
     from ..miri import detect_ub
 
     case = load_dataset().get(case_name)
     program = parse_program(case.source)
+    view = program_view(case.source)
     report = detect_ub(case.source, collect=True)
     groups: list[Fig7Group] = []
     kb = KnowledgeBase.default()
@@ -235,13 +236,13 @@ def fig7_flexibility(seed: int = 3, case_name: str = "stackborrow_reborrow_1",
     for index in range(n_solutions):
         clock = VirtualClock()
         client = LLMClient("gpt-4", 0.5, seed=seed * 1009 + index, clock=clock)
-        features = analyse(client, program, report)
+        features = analyse(client, view, report)
         use_kb = index % 2 == 1  # alternate KB usage across groups
         kb_hint = None
         if use_kb:
             reasoning = AbstractReasoningAgent(client, kb)
-            kb_hint = reasoning.consult(program, report.errors).rules or None
-        plans = rank_candidate_rules(client, features.extracted, program, 1,
+            kb_hint = reasoning.consult(view, report.errors).rules or None
+        plans = rank_candidate_rules(client, features.extracted, view.code, 1,
                                      kb_hint=kb_hint,
                                      difficulty=case.difficulty,
                                      orchestrated=True)
@@ -251,7 +252,7 @@ def fig7_flexibility(seed: int = 3, case_name: str = "stackborrow_reborrow_1",
         acceptable = False
         if outcome.solved:
             acceptable = semantically_acceptable(
-                print_program(outcome.final_program), case.fixed_source)
+                outcome.final_source, case.fixed_source)
         groups.append(Fig7Group(
             group=index + 1,
             agents=[step.agent for step in solutions[0].steps],

@@ -11,8 +11,9 @@ reports everything it can see, sorted by source position.
 
 from __future__ import annotations
 
-from ..lang import LexError, ParseError, parse_program
+from ..lang import LexError, ParseError
 from ..lang import ast_nodes as ast
+from ..lang.parser import _parse_program_cached
 from ..lang.span import Span
 from ..lang.types import LayoutError, StructLayout
 from .borrowck import Borrowck
@@ -72,9 +73,12 @@ def check_program(program: ast.Program, source: str) -> CheckReport:
 
 
 def check_source(source: str) -> CheckReport:
-    """Check a source text end to end; never raises on bad input."""
+    """Check a source text end to end; never raises on bad input.
+
+    The passes only read the tree, so they run on the parse memo's shared
+    tree, uncloned, as the detector does."""
     try:
-        program = parse_program(source)
+        program = _parse_program_cached(source)
     except (ParseError, LexError) as error:
         return CheckReport(
             source=source,

@@ -29,6 +29,7 @@ class AgentResult:
     program: ast.Program | None   # transformed program, or None if no-op
     report: MiriReport | None     # detector verdict on the transformed program
     error_count: int
+    source: str | None = None     # the printed program the detector checked
 
     @property
     def solved(self) -> bool:
@@ -47,14 +48,16 @@ class FixAgent:
         self.hallucinations = 0
 
     def execute(self, step: Step, program: ast.Program,
-                baseline_errors: int) -> AgentResult:
-        """Apply one step and verify. The LLM call is charged here."""
+                baseline_errors: int,
+                tokens: frozenset[str] | None = None) -> AgentResult:
+        """Apply one step and verify. The LLM call is charged here.
+        ``tokens`` is ``program``'s trigger-token set, when known."""
         execution = corrupt_step(self.client, step.rule, guided=step.guided,
                                  orchestrated=True)
         self.steps_executed += 1
         if execution.hallucinated:
             self.hallucinations += 1
-        transformed = apply_rule(program, execution.rule)
+        transformed = apply_rule(program, execution.rule, tokens)
         if transformed is None:
             # Pattern absent: the model produced a no-op edit.
             return AgentResult(step, None, execution.hallucinated, None, None,
@@ -67,6 +70,7 @@ class FixAgent:
         # run would pay it); the detector memo only saves wall-clock work
         # when candidates coincide.
         self.client.clock.advance(self.detector_seconds)
-        report = detect_case(print_program(transformed), collect=True)
+        source = print_program(transformed)
+        report = detect_case(source, collect=True)
         return AgentResult(step, execution.rule, execution.hallucinated,
-                           transformed, report, report.error_count)
+                           transformed, report, report.error_count, source)

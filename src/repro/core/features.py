@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lang import ast_nodes as ast
 from ..llm.client import LLMClient
 from ..llm.oracle import ExtractedFeatures, extract_features
 from ..miri.errors import MiriReport
-from .knowledge import vectorize
-from .pruning import prune_program
+from .view import ProgramView
 
 
 @dataclass(frozen=True)
@@ -23,17 +21,14 @@ class CaseFeatures:
     """Everything fast thinking knows about the failing program."""
 
     extracted: ExtractedFeatures
-    vector: np.ndarray          # embedding of the pruned AST
-    raw_vector: np.ndarray      # embedding of the full AST (pruning ablation)
+    vector: np.ndarray          # embedding of the (pruned) AST, read-only
 
 
-def analyse(client: LLMClient, program: ast.Program,
+def analyse(client: LLMClient, view: ProgramView,
             report: MiriReport, use_pruning: bool = True) -> CaseFeatures:
-    """Run feature extraction: one LLM call plus deterministic embeddings."""
-    extracted = extract_features(client, program, report)
-    pruned = prune_program(program, report.errors) if use_pruning else program
-    return CaseFeatures(
-        extracted=extracted,
-        vector=vectorize(pruned),
-        raw_vector=vectorize(program),
-    )
+    """Run feature extraction: one LLM call plus the view's embedding."""
+    extracted = extract_features(client, view.code, view.unsafe_counts,
+                                 report)
+    vector = view.pruned_vector(report.errors) if use_pruning \
+        else view.vector
+    return CaseFeatures(extracted=extracted, vector=vector)

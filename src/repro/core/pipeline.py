@@ -17,6 +17,13 @@ of the exact text: rewrite chains that return to an earlier program,
 solutions sharing leading rules, and other arms or ensemble members
 asking about the same case.  The virtual clock still charges every
 verification in full.
+
+The input is never cloned: every round reads the parse memo's shared tree
+through :func:`~repro.core.view.program_view`, whose facets (printed
+code, unsafe counts, trigger tokens, embeddings) are computed once per
+source.  Rewrites clone before they write, and a step on the input tree
+passes the view's trigger tokens, so a rule whose pattern is absent
+returns before cloning.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..engine.registry import apply_config_overrides, register_engine
-from ..lang.parser import parse_program
-from ..lang.printer import print_program
 from ..llm.client import ContextOverflow, LLMClient, VirtualClock
 from ..llm.oracle import rank_candidate_rules
 from ..miri import detect_case
@@ -36,6 +41,7 @@ from .feedback import FeedbackMemory
 from .knowledge import KnowledgeBase
 from .slow import SlowThinking, SolutionOutcome
 from .solution import Solution, decompose
+from .view import program_view
 
 
 @dataclass
@@ -113,11 +119,12 @@ class RustBrain:
             return self._outcome(client, True, source, 0, 0, 0, 0, [], [],
                                  used_kb=False, used_feedback=False)
         try:
-            program = parse_program(source)
+            view = program_view(source)
         except Exception:
             return self._outcome(client, False, None, 0, 0, 0, 0, [], [],
                                  used_kb=False, used_feedback=False,
                                  failure_reason="unparseable input")
+        program = view.tree
 
         slow = SlowThinking(client, config.rollback,
                             config.detector_seconds,
@@ -137,7 +144,7 @@ class RustBrain:
         for round_index in range(config.max_rounds):
             # F2: features + solution generation.
             try:
-                features = analyse(client, program, report,
+                features = analyse(client, view, report,
                                    config.use_pruning)
             except ContextOverflow:
                 return self._outcome(
@@ -157,12 +164,12 @@ class RustBrain:
                 # Abstract reasoning: LLM AST extraction → Algorithm 1 →
                 # vector search. Consulted every round when the KB is on —
                 # this is the 2x-4x overhead Fig. 7 attributes to it.
-                hint = reasoning.consult(program, report.errors)
+                hint = reasoning.consult(view, report.errors)
                 kb_hint = hint.rules or None
                 used_kb = used_kb or bool(kb_hint)
 
             plans = rank_candidate_rules(
-                client, features.extracted, program, config.n_solutions,
+                client, features.extracted, view.code, config.n_solutions,
                 kb_hint=kb_hint, feedback_rules=feedback_rules,
                 difficulty=difficulty, round_index=round_index,
                 orchestrated=True)
@@ -182,14 +189,15 @@ class RustBrain:
 
             # S1+S2: execute and verify each solution.
             for solution in solutions:
-                outcome = slow.execute(solution, program, report.error_count)
+                outcome = slow.execute(solution, program,
+                                       report.error_count, view.tokens)
                 solutions_tried += 1
                 steps_executed += outcome.steps_executed
                 hallucinations += outcome.hallucinations
                 rollbacks += outcome.rollbacks
                 error_sequences.append(outcome.error_sequence)
                 if outcome.solved:
-                    repaired = print_program(outcome.final_program)
+                    repaired = outcome.final_source
                     # S3: generalise the verified plan.
                     if config.use_feedback:
                         self.feedback.learn(

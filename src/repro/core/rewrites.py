@@ -17,6 +17,16 @@ Every rule takes a :class:`~repro.lang.ast_nodes.Program` and returns a
 *transformed clone* or ``None`` when its pattern does not occur. Rules build
 replacement code by printing sub-expressions into source templates and
 re-parsing — robust and easy to audit.
+
+Triggers: ``@rewrite(..., needs=(...))`` lists kind-tagged tokens of which
+at least one must occur in a program for the rule to apply —
+``method:<name>``, ``path:<segment>``, ``unary:<op>``, ``binary:<op>``,
+``node:<class>`` or ``static mut``, as :func:`trigger_tokens` collects
+them.  :meth:`RewriteRule.apply` given a program's token set returns
+``None`` before cloning when none is present.  A rule without ``needs``
+always runs; sloppy variants inherit their base's.  Triggers must be
+necessary conditions, never heuristics: ``tests/core/test_triggers.py``
+checks each against every corpus program and one level of rewrites.
 """
 
 from __future__ import annotations
@@ -53,9 +63,20 @@ class RewriteRule:
     kind: FixKind
     description: str
     fn: Callable[[ast.Program], ast.Program | None]
+    #: Trigger tokens, any one of which the input must hold; None: always.
+    needs: tuple[str, ...] | None = None
 
-    def apply(self, program: ast.Program) -> ast.Program | None:
-        """Apply to a clone; never mutates the input program."""
+    def apply(self, program: ast.Program,
+              tokens: frozenset[str] | None = None) -> ast.Program | None:
+        """Apply to a clone; never mutates the input program.
+
+        ``tokens`` is ``program``'s :func:`trigger_tokens` set, passed
+        only by callers that already hold it: with none of ``needs`` among
+        them the rule cannot match, so it returns None without cloning.
+        """
+        if tokens is not None and self.needs is not None \
+                and tokens.isdisjoint(self.needs):
+            return None
         duplicate = clone(program)
         try:
             return self.fn(duplicate)
@@ -67,11 +88,36 @@ class RewriteRule:
 REGISTRY: dict[str, RewriteRule] = {}
 
 
-def rewrite(name: str, kind: FixKind, description: str):
+def rewrite(name: str, kind: FixKind, description: str,
+            needs: tuple[str, ...] | None = None):
     def decorate(fn):
-        REGISTRY[name] = RewriteRule(name, kind, description, fn)
+        REGISTRY[name] = RewriteRule(name, kind, description, fn, needs)
         return fn
     return decorate
+
+
+def trigger_tokens(program: ast.Program) -> frozenset[str]:
+    """The kind-tagged tokens rule ``needs`` are matched against: every
+    method name, path segment, unary and binary operator and node class
+    of ``program``, plus ``static mut`` when it declares one.  The kind
+    tag keeps a deref (``unary:*``) apart from a product (``binary:*``)."""
+    tokens: set[str] = set()
+    classes: set[type] = set()
+    for node in walk(program):
+        cls = type(node)
+        classes.add(cls)
+        if cls is ast.MethodCall:
+            tokens.add("method:" + node.method)
+        elif cls is ast.PathExpr:
+            tokens.update("path:" + segment for segment in node.segments)
+        elif cls is ast.Unary:
+            tokens.add("unary:" + node.op)
+        elif cls is ast.Binary:
+            tokens.add("binary:" + node.op)
+        elif cls is ast.StaticItem and node.mutable:
+            tokens.add("static mut")
+    tokens.update("node:" + cls.__name__ for cls in classes)
+    return frozenset(tokens)
 
 
 def get_rule(name: str) -> RewriteRule:
@@ -134,7 +180,8 @@ def _stmt_uses_name(stmt: ast.Stmt, name: str) -> bool:
 
 
 @rewrite("replace_transmute_ref_with_cast", FixKind.REPLACE,
-         "mem::transmute::<&T, usize>(p) → p as *const T as usize")
+         "mem::transmute::<&T, usize>(p) → p as *const T as usize",
+         needs=("path:transmute",))
 def replace_transmute_ref_with_cast(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -150,7 +197,8 @@ def replace_transmute_ref_with_cast(program):
 
 
 @rewrite("replace_transmute_bytes_with_from_le", FixKind.REPLACE,
-         "mem::transmute::<[u8; N], uN>(x) → uN::from_le_bytes(x)")
+         "mem::transmute::<[u8; N], uN>(x) → uN::from_le_bytes(x)",
+         needs=("path:transmute",))
 def replace_transmute_bytes_with_from_le(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -167,7 +215,8 @@ def replace_transmute_bytes_with_from_le(program):
 
 
 @rewrite("replace_transmute_int_with_comparison", FixKind.REPLACE,
-         "mem::transmute::<u8, bool>(n) → n != 0")
+         "mem::transmute::<u8, bool>(n) → n != 0",
+         needs=("path:transmute",))
 def replace_transmute_int_with_comparison(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -183,7 +232,8 @@ def replace_transmute_int_with_comparison(program):
 
 
 @rewrite("replace_transmute_char_with_from_u32", FixKind.REPLACE,
-         "mem::transmute::<u32, char>(n) → char::from_u32(n).unwrap_or(...)")
+         "mem::transmute::<u32, char>(n) → char::from_u32(n).unwrap_or(...)",
+         needs=("path:transmute",))
 def replace_transmute_char_with_from_u32(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -199,7 +249,8 @@ def replace_transmute_char_with_from_u32(program):
 
 
 @rewrite("replace_transmute_fn_with_direct", FixKind.REPLACE,
-         "mem::transmute between fn-pointer types → the function itself")
+         "mem::transmute between fn-pointer types → the function itself",
+         needs=("path:transmute",))
 def replace_transmute_fn_with_direct(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -213,7 +264,8 @@ def replace_transmute_fn_with_direct(program):
 
 
 @rewrite("replace_set_len_with_resize", FixKind.REPLACE,
-         "v.set_len(n) → v.resize(n, 0)")
+         "v.set_len(n) → v.resize(n, 0)",
+         needs=("method:set_len",))
 def replace_set_len_with_resize(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and node.method == "set_len" \
@@ -228,7 +280,8 @@ def replace_set_len_with_resize(program):
 
 
 @rewrite("replace_get_unchecked_with_index", FixKind.REPLACE,
-         "v.get_unchecked(i) → v[i] (bounds-checked)")
+         "v.get_unchecked(i) → v[i] (bounds-checked)",
+         needs=("method:get_unchecked", "method:get_unchecked_mut"))
 def replace_get_unchecked_with_index(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and \
@@ -242,7 +295,8 @@ def replace_get_unchecked_with_index(program):
 
 
 @rewrite("replace_uninit_with_zero_init", FixKind.REPLACE,
-         "MaybeUninit::uninit() → MaybeUninit::new(0)")
+         "MaybeUninit::uninit() → MaybeUninit::new(0)",
+         needs=("path:uninit",))
 def replace_uninit_with_zero_init(program):
     for node in walk(program):
         if _is_path_call(node, "uninit") and \
@@ -254,7 +308,8 @@ def replace_uninit_with_zero_init(program):
 
 
 @rewrite("replace_static_mut_with_atomic", FixKind.REPLACE,
-         "static mut counter → AtomicUsize with fetch_add/load")
+         "static mut counter → AtomicUsize with fetch_add/load",
+         needs=("static mut",))
 def replace_static_mut_with_atomic(program):
     target = None
     for item in program.items:
@@ -309,7 +364,8 @@ def replace_static_mut_with_atomic(program):
 
 
 @rewrite("replace_zeroed_ref_with_local", FixKind.REPLACE,
-         "mem::zeroed::<&T>() → reference to a fresh zero local")
+         "mem::zeroed::<&T>() → reference to a fresh zero local",
+         needs=("path:zeroed",))
 def replace_zeroed_ref_with_local(program):
     for node in walk(program):
         if _is_path_call(node, "zeroed") and node.func.generic_args:
@@ -330,7 +386,8 @@ def replace_zeroed_ref_with_local(program):
 
 
 @rewrite("replace_deref_with_original_value", FixKind.REPLACE,
-         "deref of int-forged pointer → the original variable")
+         "deref of int-forged pointer → the original variable",
+         needs=("unary:&", "unary:&mut", "path:transmute"))
 def replace_deref_with_original_value(program):
     """For `let addr = &x ... as usize; ... *(addr as *const T)` chains,
     use `x` directly instead of laundering the pointer through an integer."""
@@ -384,7 +441,8 @@ def _original_place_of_addr(program, init: ast.Expr) -> str | None:
 
 
 @rewrite("guard_ptr_add_with_len_check", FixKind.ASSERT,
-         "unsafe { *p.add(i) } → bounds-guarded access with safe fallback")
+         "unsafe { *p.add(i) } → bounds-guarded access with safe fallback",
+         needs=("method:add", "method:offset"))
 def guard_ptr_add_with_len_check(program):
     for node in walk(program):
         if not (isinstance(node, ast.Block) and node.is_unsafe
@@ -420,7 +478,8 @@ def guard_ptr_add_with_len_check(program):
 
 
 @rewrite("guard_index_with_len_check", FixKind.ASSERT,
-         "v[i] with possibly-bad i → guarded access with safe fallback")
+         "v[i] with possibly-bad i → guarded access with safe fallback",
+         needs=("node:Index",))
 def guard_index_with_len_check(program):
     for node in walk(program):
         if not isinstance(node, ast.Index):
@@ -441,7 +500,8 @@ def guard_index_with_len_check(program):
 
 
 @rewrite("guard_nonnull_before_deref", FixKind.ASSERT,
-         "unsafe { *p } → null-guarded access with safe fallback")
+         "unsafe { *p } → null-guarded access with safe fallback",
+         needs=("unary:*",))
 def guard_nonnull_before_deref(program):
     for node in walk(program):
         if not (isinstance(node, ast.Block) and node.is_unsafe
@@ -460,7 +520,8 @@ def guard_nonnull_before_deref(program):
 
 
 @rewrite("guard_alignment_before_cast_read", FixKind.ASSERT,
-         "misaligned typed read → alignment-guarded with safe fallback")
+         "misaligned typed read → alignment-guarded with safe fallback",
+         needs=("node:Cast",))
 def guard_alignment_before_cast_read(program):
     for node in walk(program):
         if not (isinstance(node, ast.Block) and node.is_unsafe
@@ -491,7 +552,8 @@ def guard_alignment_before_cast_read(program):
 
 
 @rewrite("guard_layout_nonzero", FixKind.ASSERT,
-         "alloc with possibly-zero layout → size max(1) guard")
+         "alloc with possibly-zero layout → size max(1) guard",
+         needs=("path:from_size_align",))
 def guard_layout_nonzero(program):
     for node in walk(program):
         if _is_path_call(node, "from_size_align") and node.args:
@@ -513,7 +575,8 @@ def guard_layout_nonzero(program):
 
 
 @rewrite("move_drop_after_last_use", FixKind.MODIFY,
-         "move the drop/free so it happens after the last use")
+         "move the drop/free so it happens after the last use",
+         needs=("path:drop",))
 def move_drop_after_last_use(program):
     main = program.fn("main")
     if main is None:
@@ -558,7 +621,8 @@ def move_drop_after_last_use(program):
 
 
 @rewrite("remove_second_free", FixKind.MODIFY,
-         "delete the duplicated drop/dealloc statement")
+         "delete the duplicated drop/dealloc statement",
+         needs=("path:drop", "path:dealloc"))
 def remove_second_free(program):
     frees: list[ast.Stmt] = []
     for node in walk(program):
@@ -580,7 +644,9 @@ def remove_second_free(program):
 
 
 @rewrite("take_pointer_after_mutation", FixKind.MODIFY,
-         "move as_ptr/as_mut_ptr below the last container mutation")
+         "move as_ptr/as_mut_ptr below the last container mutation",
+         needs=("method:push", "method:resize", "method:insert",
+                "method:reserve", "method:extend", "method:remove"))
 def take_pointer_after_mutation(program):
     main = program.fn("main")
     if main is None:
@@ -616,7 +682,8 @@ def take_pointer_after_mutation(program):
 
 
 @rewrite("join_thread_before_access", FixKind.MODIFY,
-         "move the join() so the parent's access is ordered after the child")
+         "move the join() so the parent's access is ordered after the child",
+         needs=("method:join",))
 def join_thread_before_access(program):
     main = program.fn("main")
     if main is None:
@@ -640,7 +707,8 @@ def join_thread_before_access(program):
 
 
 @rewrite("add_missing_join", FixKind.MODIFY,
-         "bind the spawn result and join it before main exits")
+         "bind the spawn result and join it before main exits",
+         needs=("path:spawn",))
 def add_missing_join(program):
     main = program.fn("main")
     if main is None:
@@ -665,7 +733,8 @@ def add_missing_join(program):
 
 
 @rewrite("protect_with_mutex", FixKind.MODIFY,
-         "static mut shared state → Mutex-protected static")
+         "static mut shared state → Mutex-protected static",
+         needs=("static mut",))
 def protect_with_mutex(program):
     target = None
     for item in program.items:
@@ -714,7 +783,8 @@ def protect_with_mutex(program):
 
 
 @rewrite("write_before_assume_init", FixKind.MODIFY,
-         "insert mu.write(0) before assume_init")
+         "insert mu.write(0) before assume_init",
+         needs=("method:assume_init",))
 def write_before_assume_init(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and node.method == "assume_init":
@@ -734,7 +804,8 @@ def write_before_assume_init(program):
 
 
 @rewrite("fix_dealloc_layout", FixKind.MODIFY,
-         "dealloc with the same layout the allocation used")
+         "dealloc with the same layout the allocation used",
+         needs=("path:dealloc",))
 def fix_dealloc_layout(program):
     alloc_layout_var = None
     for node in walk(program):
@@ -757,7 +828,8 @@ def fix_dealloc_layout(program):
 
 
 @rewrite("call_with_actual_signature", FixKind.MODIFY,
-         "call the target function with its true argument list")
+         "call the target function with its true argument list",
+         needs=("path:transmute",))
 def call_with_actual_signature(program):
     """For fn-pointer misuse: drop the transmute and pad/trim call args to
     the callee's real signature (extra args filled with 0)."""
@@ -802,7 +874,8 @@ def call_with_actual_signature(program):
 
 
 @rewrite("read_unaligned_instead", FixKind.MODIFY,
-         "misaligned *p → p.read_unaligned()")
+         "misaligned *p → p.read_unaligned()",
+         needs=("node:Cast",))
 def read_unaligned_instead(program):
     for node in walk(program):
         if not (isinstance(node, ast.Unary) and node.op == "*"):
@@ -824,7 +897,8 @@ def read_unaligned_instead(program):
 
 
 @rewrite("correct_tail_dispatch", FixKind.MODIFY,
-         "dispatch the tail call through the correctly-typed function")
+         "dispatch the tail call through the correctly-typed function",
+         needs=("path:transmute",))
 def correct_tail_dispatch(program):
     """Tail-call misuse: a dispatcher returns `f(args)` through a transmuted
     pointer. Replace the laundered pointer with the real function."""
@@ -840,7 +914,8 @@ def correct_tail_dispatch(program):
 
 
 @rewrite("saturating_arith_on_extreme", FixKind.REPLACE,
-         "overflowing +/-/* near MAX/MIN → saturating_*")
+         "overflowing +/-/* near MAX/MIN → saturating_*",
+         needs=("path:MAX", "path:MIN"))
 def saturating_arith_on_extreme(program):
     extreme_vars = set()
     for node in walk(program):
@@ -871,7 +946,8 @@ def saturating_arith_on_extreme(program):
 
 
 @rewrite("guard_division_nonzero", FixKind.ASSERT,
-         "a / b → zero-guarded division with safe fallback")
+         "a / b → zero-guarded division with safe fallback",
+         needs=("binary:/", "binary:%"))
 def guard_division_nonzero(program):
     for node in walk(program):
         if isinstance(node, ast.Binary) and node.op in ("/", "%"):
@@ -888,7 +964,8 @@ def guard_division_nonzero(program):
 
 
 @rewrite("replace_unwrap_with_unwrap_or", FixKind.REPLACE,
-         "opt.unwrap() → opt.unwrap_or(0)")
+         "opt.unwrap() → opt.unwrap_or(0)",
+         needs=("method:unwrap",))
 def replace_unwrap_with_unwrap_or(program):
     for node in walk(program):
         if isinstance(node, ast.MethodCall) and node.method == "unwrap" \
@@ -905,7 +982,8 @@ def replace_unwrap_with_unwrap_or(program):
 
 
 @rewrite("mask_shift_amount", FixKind.MODIFY,
-         "a << b → a << (b % BITS)")
+         "a << b → a << (b % BITS)",
+         needs=("binary:<<", "binary:>>"))
 def mask_shift_amount(program):
     for node in walk(program):
         if isinstance(node, ast.Binary) and node.op in ("<<", ">>"):
@@ -920,7 +998,8 @@ def mask_shift_amount(program):
 
 
 @rewrite("read_owner_instead_of_raw", FixKind.MODIFY,
-         "unsafe { *p } where p = &x as *T → read x directly")
+         "unsafe { *p } where p = &x as *T → read x directly",
+         needs=("unary:&", "unary:&mut", "path:transmute"))
 def read_owner_instead_of_raw(program):
     for node in walk(program):
         if not (isinstance(node, ast.Unary) and node.op == "*"):
@@ -940,7 +1019,8 @@ def read_owner_instead_of_raw(program):
 
 
 @rewrite("read_written_union_field", FixKind.MODIFY,
-         "read the union field that was actually written")
+         "read the union field that was actually written",
+         needs=("node:UnionItem",))
 def read_written_union_field(program):
     writes: dict[str, str] = {}
     for node in walk(program):
@@ -969,7 +1049,8 @@ def read_written_union_field(program):
 
 
 @rewrite("write_zero_after_alloc", FixKind.MODIFY,
-         "initialise freshly allocated heap memory before reading it")
+         "initialise freshly allocated heap memory before reading it",
+         needs=("path:alloc", "path:alloc_zeroed"))
 def write_zero_after_alloc(program):
     for node in walk(program):
         if not (isinstance(node, ast.LetStmt) and node.init is not None):
@@ -993,7 +1074,8 @@ def write_zero_after_alloc(program):
 
 
 @rewrite("shorten_shared_borrow", FixKind.MODIFY,
-         "create the shared borrow only after the mutable write")
+         "create the shared borrow only after the mutable write",
+         needs=("unary:&",))
 def shorten_shared_borrow(program):
     main = program.fn("main")
     if main is None:
@@ -1022,7 +1104,8 @@ def shorten_shared_borrow(program):
 
 
 @rewrite("hoist_write_before_shared", FixKind.MODIFY,
-         "perform the mutable write before the shared borrow is created")
+         "perform the mutable write before the shared borrow is created",
+         needs=("unary:&",))
 def hoist_write_before_shared(program):
     main = program.fn("main")
     if main is None:
@@ -1053,7 +1136,8 @@ def hoist_write_before_shared(program):
 
 
 @rewrite("hoist_raw_use_before_reborrow", FixKind.MODIFY,
-         "use the raw pointer before the new borrow invalidates it")
+         "use the raw pointer before the new borrow invalidates it",
+         needs=("node:Cast", "method:as_ptr", "method:as_mut_ptr"))
 def hoist_raw_use_before_reborrow(program):
     main = program.fn("main")
     if main is None:
@@ -1102,7 +1186,8 @@ def hoist_raw_use_before_reborrow(program):
 
 
 @rewrite("release_lock_before_relock", FixKind.MODIFY,
-         "drop the first guard before taking the lock again")
+         "drop the first guard before taking the lock again",
+         needs=("method:lock",))
 def release_lock_before_relock(program):
     main = program.fn("main")
     if main is None:
@@ -1151,7 +1236,8 @@ def fix_call_arity(program):
 
 
 @rewrite("replace_int_fn_transmute_with_fn", FixKind.MODIFY,
-         "int→fn transmute → a real function with the declared signature")
+         "int→fn transmute → a real function with the declared signature",
+         needs=("path:transmute",))
 def replace_int_fn_transmute_with_fn(program):
     for call in _transmute_calls(program):
         generics = call.func.generic_args
@@ -1172,7 +1258,8 @@ def replace_int_fn_transmute_with_fn(program):
 
 
 @rewrite("store_valid_bool", FixKind.MODIFY,
-         "writes of out-of-range byte into a bool location → write 1")
+         "writes of out-of-range byte into a bool location → write 1",
+         needs=("node:Assign",))
 def store_valid_bool(program):
     bool_raws = set()
     for node in walk(program):
@@ -1215,7 +1302,8 @@ def hallu_remove_unsafe_block(program):
 
 
 @rewrite("hallu_perturb_constant", FixKind.HALLUCINATION,
-         "change an integer literal (silently breaks semantics)")
+         "change an integer literal (silently breaks semantics)",
+         needs=("node:IntLit",))
 def hallu_perturb_constant(program):
     literals = [n for n in walk(program)
                 if isinstance(n, ast.IntLit) and n.value not in (0, 1)]
@@ -1229,7 +1317,8 @@ def hallu_perturb_constant(program):
 
 
 @rewrite("retouch_output_constant", FixKind.HALLUCINATION,
-         "needless rewrite of a load-bearing constant near the fix")
+         "needless rewrite of a load-bearing constant near the fix",
+         needs=("node:IntLit",))
 def retouch_output_constant(program):
     """Perturb a literal that actually flows into observable behaviour
     (skips incidental helper statements): models regenerating a whole
@@ -1285,26 +1374,28 @@ HALLUCINATION_RULES = [r.name for r in rules_of_kind(FixKind.HALLUCINATION)]
 
 def _patch_int_literal(predicate):
     """Build a patch that flips the first matching IntLit after the base
-    rule ran (e.g. a guard's `else { 0 }` fallback becomes `else { 1 }`)."""
+    rule ran (e.g. a guard's `else { 0 }` fallback becomes `else { 1 }`).
+    The parent map is built once, at the first literal: nothing writes to
+    the tree before the patch returns."""
     def patch(program):
+        parents = None
         for node in walk(program):
-            if isinstance(node, ast.IntLit) and predicate(node, program):
-                node.value = 1 if node.value == 0 else node.value - 1
-                return program
+            if isinstance(node, ast.IntLit):
+                if parents is None:
+                    parents = ast.parent_map(program)
+                if predicate(node, parents.get(node.node_id)):
+                    node.value = 1 if node.value == 0 else node.value - 1
+                    return program
         return program
     return patch
 
 
-def _is_guard_fallback(lit: ast.IntLit, program) -> bool:
-    parents = ast.parent_map(program)
-    parent = parents.get(lit.node_id)
+def _is_guard_fallback(lit: ast.IntLit, parent) -> bool:
     return (isinstance(parent, ast.Block) and parent.tail is lit
             and lit.value == 0)
 
 
-def _is_zero_fill_arg(lit: ast.IntLit, program) -> bool:
-    parents = ast.parent_map(program)
-    parent = parents.get(lit.node_id)
+def _is_zero_fill_arg(lit: ast.IntLit, parent) -> bool:
     if isinstance(parent, ast.MethodCall) and parent.method in (
             "resize", "unwrap_or") and lit.value == 0:
         return True
@@ -1327,9 +1418,11 @@ def _patch_saturating_to_wrapping(program):
 
 
 def _patch_shift_mask(program):
+    parents = None
     for node in walk(program):
         if isinstance(node, ast.IntLit) and node.value == 32:
-            parents = ast.parent_map(program)
+            if parents is None:
+                parents = ast.parent_map(program)
             parent = parents.get(node.node_id)
             if isinstance(parent, ast.Binary) and parent.op == "%":
                 node.value = 31
@@ -1379,7 +1472,7 @@ def _register_sloppy_variants() -> None:
         REGISTRY[name] = RewriteRule(
             name, base.kind,
             f"{base.description} — careless constants (semantics drift)",
-            fn,
+            fn, base.needs,
         )
 
 
@@ -1403,12 +1496,14 @@ def _strip_redundant_unsafe(program: ast.Program, inner_id: int) -> None:
             node.is_unsafe = False
 
 
-def apply_rule(program: ast.Program, rule_name: str) -> ast.Program | None:
-    """Apply a registry rule by name; returns the transformed clone or None."""
+def apply_rule(program: ast.Program, rule_name: str,
+               tokens: frozenset[str] | None = None) -> ast.Program | None:
+    """Apply a registry rule by name; returns the transformed clone or None.
+    ``tokens``, when given, must be ``program``'s :func:`trigger_tokens`."""
     rule = REGISTRY.get(rule_name)
     if rule is None:
         return None
-    return rule.apply(program)
+    return rule.apply(program, tokens)
 
 
 def applicable_rules(program: ast.Program,

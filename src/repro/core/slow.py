@@ -23,6 +23,8 @@ class SolutionOutcome:
     solution: Solution
     solved: bool
     final_program: ast.Program | None
+    #: The printed ``final_program`` when solved (what was verified).
+    final_source: str | None
     steps_executed: int
     hallucinations: int
     rollbacks: int
@@ -46,8 +48,13 @@ class SlowThinking:
     # ------------------------------------------------------------------
 
     def execute(self, solution: Solution, program: ast.Program,
-                initial_errors: int) -> SolutionOutcome:
-        """Run one solution's steps to completion or exhaustion."""
+                initial_errors: int,
+                tokens: frozenset[str] | None = None) -> SolutionOutcome:
+        """Run one solution's steps to completion or exhaustion.
+
+        ``tokens`` is ``program``'s trigger-token set, if the caller holds
+        it; it goes with every step taken on ``program`` itself (the first
+        step, and any after a rollback to it), never with a rewrite."""
         rollback = RollbackAgent(self.rollback_policy, program, initial_errors)
         current = program
         current_errors = initial_errors
@@ -57,7 +64,8 @@ class SlowThinking:
 
         for step in solution.steps[: self.max_steps]:
             agent = self.agents.get(step.agent, self.agents["modification"])
-            result = agent.execute(step, current, current_errors)
+            result = agent.execute(step, current, current_errors,
+                                   tokens if current is program else None)
             executed += 1
             if result.hallucinated:
                 hallucinations += 1
@@ -69,11 +77,13 @@ class SlowThinking:
             rollback.observe(result.program, result.error_count)
             if result.solved:
                 return SolutionOutcome(
-                    solution, True, result.program, executed, hallucinations,
-                    rollback.rollbacks, rollback.error_sequence, applied)
+                    solution, True, result.program, result.source, executed,
+                    hallucinations, rollback.rollbacks,
+                    rollback.error_sequence, applied)
             current, current_errors = rollback.next_base(
                 result.program, result.error_count)
 
         return SolutionOutcome(
-            solution, False, rollback.best.program, executed, hallucinations,
-            rollback.rollbacks, rollback.error_sequence, applied)
+            solution, False, rollback.best.program, None, executed,
+            hallucinations, rollback.rollbacks, rollback.error_sequence,
+            applied)

@@ -804,22 +804,25 @@ def _unescape(text: str) -> str:
 
 @lru_cache(maxsize=512)
 def _parse_program_cached(source: str) -> ast.Program:
-    """The memo's own tree, shared by every caller: the detector
-    interprets it uncloned, so nothing may write to it."""
+    """The memo's own tree, shared by every caller: the detector, the
+    checker and the engines' program views read it uncloned, so nothing
+    may write to it."""
     return Parser(source).parse_program()
 
 
 def parse_program(source: str) -> ast.Program:
-    """Parse a full mini-Rust source file into a :class:`Program`.
+    """Parse a full mini-Rust source file into a private :class:`Program`.
 
-    Memoized on the source text: a repair round re-parses the same unchanged
-    input many times (every engine instance, every campaign repeat), so the
-    lex+parse runs once per distinct source and subsequent calls return a
-    fresh :func:`~repro.lang.ast_nodes.clone` of the cached tree.  Cloning
-    keeps callers isolated — agents rewrite ASTs in place, and a mutation
-    must never leak into later parses — and reassigns node ids, which are
-    only ever used as within-tree identities, never compared across parses
-    or ordered.  Unparseable sources are not cached (``lru_cache`` does not
+    For callers that write to the tree: rule snippets, the corpus
+    generator, tests and figures.  The lex+parse runs once per distinct
+    source (:func:`_parse_program_cached`), and each call returns a fresh
+    :func:`~repro.lang.ast_nodes.clone` of the memo's tree, so a rewrite
+    never leaks into later parses.  Read-only consumers — the detector,
+    the checker, and the engines through
+    :func:`~repro.core.view.program_view` — read the memo's tree itself
+    and pay for no clone.  Cloning reassigns node ids, which are only ever
+    used as within-tree identities, never compared across parses or
+    ordered.  Unparseable sources are not cached (``lru_cache`` does not
     memoize raised exceptions); they stay rare and cheap to re-reject.
     """
     return ast.clone(_parse_program_cached(source))

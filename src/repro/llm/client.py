@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from .profiles import ModelProfile, get_profile
-from .tokenizer import DEFAULT_CONTEXT_LIMIT, count_tokens, exceeds_context
+from .tokenizer import DEFAULT_CONTEXT_LIMIT, count_tokens
 
 _resilience_modules = None
 
@@ -120,11 +120,14 @@ class LLMClient:
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def _check_context(self, prompt: str) -> int:
-        if exceeds_context(prompt, self.context_limit):
+        """The prompt's token count, counted once; raises
+        :class:`ContextOverflow` past the context limit."""
+        tokens = count_tokens(prompt)
+        if tokens > self.context_limit:
             raise ContextOverflow(
-                f"prompt of {count_tokens(prompt)} tokens exceeds the "
+                f"prompt of {tokens} tokens exceeds the "
                 f"{self.context_limit}-token context limit")
-        return count_tokens(prompt)
+        return tokens
 
     def _fault_key(self, task: str) -> str:
         """Injection identity of the *next* call: stable across retries

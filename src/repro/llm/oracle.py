@@ -17,6 +17,11 @@ Three task engines back the framework's LLM calls:
 The oracle never sees a case's ground-truth strategy list; repairs succeed
 or fail because the chosen rewrite genuinely does (or does not) fix the
 program under the detector.
+
+Entry points take the program as the printed code a prompt embeds (plus,
+for :func:`extract_features`, its unsafe counts), never as a tree: callers
+read both from :func:`~repro.core.view.program_view`, which computes them
+once per source.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..lang import ast_nodes as ast
-from ..lang.printer import print_program
 from ..miri.errors import MiriReport, UbKind
 from .client import LLMClient
 from .sampling import (
@@ -179,10 +182,14 @@ keep functionality and semantics while avoiding UB through modification.
 """
 
 
-def extract_features(client: LLMClient, program: ast.Program,
+def extract_features(client: LLMClient, code: str,
+                     unsafe_counts: tuple[int, int],
                      report: MiriReport) -> ExtractedFeatures:
-    """Fast-thinking F2: classify the error + code features, with noise."""
-    code = print_program(program)
+    """Fast-thinking F2: classify the error + code features, with noise.
+
+    ``unsafe_counts`` is the program's (unsafe blocks, unsafe-operation
+    method calls), as :attr:`~repro.core.view.ProgramView.unsafe_counts`
+    counts them."""
     error_text = report.render()
     rng = client.charge("feature_extraction",
                         FEATURE_PROMPT.format(code=code, error=error_text),
@@ -195,14 +202,7 @@ def extract_features(client: LLMClient, program: ast.Program,
         choices = CONFUSABLE.get(true_category, [])
         if choices:
             predicted = rng.choice(choices)
-    unsafe_blocks = sum(
-        1 for node in ast.walk(program)
-        if isinstance(node, ast.Block) and node.is_unsafe)
-    unsafe_calls = sum(
-        1 for node in ast.walk(program)
-        if isinstance(node, ast.MethodCall)
-        and node.method in ("read", "write", "add", "offset", "set_len",
-                            "assume_init", "get_unchecked"))
+    unsafe_blocks, unsafe_calls = unsafe_counts
     return ExtractedFeatures(
         predicted_category=predicted,
         true_category=true_category,
@@ -223,7 +223,7 @@ def _true_category(report: MiriReport) -> UbKind:
 
 
 def rank_candidate_rules(client: LLMClient, features: ExtractedFeatures,
-                         program: ast.Program, n_solutions: int,
+                         code: str, n_solutions: int,
                          kb_hint: list[str] | None = None,
                          feedback_rules: list[str] | None = None,
                          difficulty: int = 2, round_index: int = 0,
@@ -247,14 +247,14 @@ def rank_candidate_rules(client: LLMClient, features: ExtractedFeatures,
     if n_solutions < 1:
         # A zero-candidate round consults nobody and proposes nothing.
         return []
-    code = print_program(program)
-    hints = ""
-    if kb_hint:
-        hints += "\n### Knowledge-base exemplars suggest\n" + ", ".join(kb_hint)
-    if feedback_rules:
-        hints += "\n### Previously successful for similar errors\n" + \
-            ", ".join(feedback_rules)
     if rng is None:
+        hints = ""
+        if kb_hint:
+            hints += "\n### Knowledge-base exemplars suggest\n" + \
+                ", ".join(kb_hint)
+        if feedback_rules:
+            hints += "\n### Previously successful for similar errors\n" + \
+                ", ".join(feedback_rules)
         rng = client.generate_batch(
             "solution_generation",
             SOLUTION_PROMPT.format(n=n_solutions, code=code,
@@ -377,7 +377,7 @@ def rank_candidate_rules(client: LLMClient, features: ExtractedFeatures,
 
 
 def generate_plan_batch(client: LLMClient, features: ExtractedFeatures,
-                        program: ast.Program, n: int,
+                        code: str, n: int,
                         difficulty: int = 2) -> list[list[str]]:
     """Sample ``n`` *independent* single-plan candidates in one batch.
 
@@ -391,12 +391,11 @@ def generate_plan_batch(client: LLMClient, features: ExtractedFeatures,
     """
     if n < 1:
         return []
-    code = print_program(program)
     prompt = SOLUTION_PROMPT.format(
         n=1, code=code, category=features.predicted_category.value, hints="")
     rngs = client.generate_batch("solution_generation", prompt, n,
                                  completion_tokens=120)
-    return [rank_candidate_rules(client, features, program, 1,
+    return [rank_candidate_rules(client, features, code, 1,
                                  difficulty=difficulty, rng=sample_rng)[0]
             for sample_rng in rngs]
 

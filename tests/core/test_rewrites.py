@@ -318,3 +318,34 @@ fn main() {
         names = applicable_rules(program)
         for name in names:
             assert REGISTRY[name].kind is not FixKind.HALLUCINATION
+
+
+class TestSloppyPatches:
+    LITERALS = '''
+fn main() {
+    let v = vec![5, 6, 7, 8];
+    let i = 32;
+    let j = 32;
+    let x = if i < v.len() { v[i] } else { 0 };
+    let y = 3 << (j % 32);
+    println!("{} {}", x, y);
+}'''
+
+    @pytest.mark.parametrize("base", sorted(rewrites._SLOPPY_PATCHES))
+    def test_patch_builds_at_most_one_parent_map(self, monkeypatch, base):
+        maps = []
+        real_parent_map = rewrites.ast.parent_map
+        monkeypatch.setattr(
+            rewrites.ast, "parent_map",
+            lambda root: maps.append(root) or real_parent_map(root))
+        rewrites._SLOPPY_PATCHES[base](parse_program(self.LITERALS))
+        assert len(maps) <= 1
+
+    def test_patches_edit_the_first_match(self):
+        patches = rewrites._SLOPPY_PATCHES
+        guarded = print_program(patches["guard_index_with_len_check"](
+            parse_program(self.LITERALS)))
+        assert "else { 1 }" in guarded and "let i = 32;" in guarded
+        masked = print_program(patches["mask_shift_amount"](
+            parse_program(self.LITERALS)))
+        assert "j % 31" in masked and "let j = 32;" in masked

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.llm import client as client_module, tokenizer
 from repro.llm.client import ContextOverflow, LLMClient, VirtualClock
 from repro.llm.profiles import PROFILES, get_profile
 from repro.llm.sampling import (
@@ -93,6 +94,26 @@ class TestClient:
         client = LLMClient("gpt-4", seed=1, context_limit=100)
         with pytest.raises(ContextOverflow):
             client.charge("t", "word " * 1000)
+
+    @pytest.mark.parametrize("limit", [16_384, 100],
+                             ids=["fits", "overflows"])
+    def test_charge_counts_its_prompt_once(self, monkeypatch, limit):
+        counted = []
+
+        def counting(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        # Both bindings: exceeds_context counts through the tokenizer's.
+        monkeypatch.setattr(tokenizer, "count_tokens", counting)
+        monkeypatch.setattr(client_module, "count_tokens", counting)
+        client = LLMClient("gpt-4", seed=1, context_limit=limit)
+        prompt = "word " * 1000
+        try:
+            client.charge("t", prompt)
+        except ContextOverflow as overflow:
+            assert str(count_tokens(prompt)) in str(overflow)
+        assert counted == [prompt]
 
     def test_rng_deterministic_per_call_index(self):
         a = LLMClient("gpt-4", seed=7)

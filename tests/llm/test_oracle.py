@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from repro.core.rewrites import FixKind, REGISTRY
+from repro.core.view import program_view
 from repro.corpus.dataset import load_dataset
-from repro.lang import parse_program
 from repro.llm.client import LLMClient
 from repro.llm.oracle import (
     CATEGORY_RULE_PRIORS,
@@ -49,54 +49,57 @@ class TestPriors:
 class TestFeatureExtraction:
     def test_true_category_always_recorded(self):
         case = sample_case()
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
         client = LLMClient("gpt-4", seed=1)
-        features = extract_features(client, program, report)
+        features = extract_features(client, view.code, view.unsafe_counts,
+                                    report)
         assert features.true_category is UbKind.UNINIT
 
     def test_prediction_mostly_correct_for_strong_model(self):
         case = sample_case()
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
         correct = 0
         for seed in range(40):
             client = LLMClient("gpt-4", seed=seed)
-            features = extract_features(client, program, report)
+            features = extract_features(client, view.code,
+                                        view.unsafe_counts, report)
             correct += features.correct
         assert correct >= 28  # ≈ feature_accuracy
 
     def test_weak_model_misclassifies_more(self):
         case = sample_case()
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
         wrong35 = wrong4 = 0
         for seed in range(60):
             f35 = extract_features(LLMClient("gpt-3.5", seed=seed),
-                                   program, report)
+                                   view.code, view.unsafe_counts, report)
             f4 = extract_features(LLMClient("gpt-4", seed=seed),
-                                  program, report)
+                                  view.code, view.unsafe_counts, report)
             wrong35 += not f35.correct
             wrong4 += not f4.correct
         assert wrong35 > wrong4
 
     def test_misprediction_lands_on_confusable(self):
         case = sample_case()
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
         for seed in range(60):
             features = extract_features(LLMClient("gpt-3.5", seed=seed),
-                                        program, report)
+                                        view.code, view.unsafe_counts,
+                                        report)
             if not features.correct:
                 assert features.predicted_category in \
                     CONFUSABLE[features.true_category]
 
     def test_extraction_charges_a_call(self):
         case = sample_case()
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
         client = LLMClient("gpt-4", seed=1)
-        extract_features(client, program, report)
+        extract_features(client, view.code, view.unsafe_counts, report)
         assert client.stats.call_count == 1
         assert client.clock.elapsed > 0
 
@@ -104,21 +107,22 @@ class TestFeatureExtraction:
 class TestSolutionRanking:
     def _features(self, client):
         case = sample_case()
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
-        return extract_features(client, program, report), program
+        return (extract_features(client, view.code, view.unsafe_counts,
+                                 report), view.code)
 
     def test_returns_requested_number_of_plans(self):
         client = LLMClient("gpt-4", seed=1)
-        features, program = self._features(client)
-        plans = rank_candidate_rules(client, features, program, 6)
+        features, code = self._features(client)
+        plans = rank_candidate_rules(client, features, code, 6)
         assert len(plans) == 6
         assert all(plans)
 
     def test_plans_are_rule_names(self):
         client = LLMClient("gpt-4", seed=1)
-        features, program = self._features(client)
-        for plan in rank_candidate_rules(client, features, program, 4):
+        features, code = self._features(client)
+        for plan in rank_candidate_rules(client, features, code, 4):
             for rule in plan:
                 assert rule in REGISTRY
 
@@ -126,25 +130,25 @@ class TestSolutionRanking:
         hits = 0
         for seed in range(30):
             client = LLMClient("gpt-4", seed=seed)
-            features, program = self._features(client)
-            plans = rank_candidate_rules(client, features, program, 1)
+            features, code = self._features(client)
+            plans = rank_candidate_rules(client, features, code, 1)
             prior = CATEGORY_RULE_PRIORS[features.predicted_category]
             hits += plans[0][0] in prior
         assert hits >= 15
 
     def test_feedback_rules_lead_first_plan(self):
         client = LLMClient("gpt-4", seed=1)
-        features, program = self._features(client)
+        features, code = self._features(client)
         plans = rank_candidate_rules(
-            client, features, program, 3,
+            client, features, code, 3,
             feedback_rules=["write_before_assume_init"])
         assert plans[0][0] == "write_before_assume_init"
 
     def test_deterministic_given_seed(self):
         def run(seed):
             client = LLMClient("gpt-4", seed=seed)
-            features, program = self._features(client)
-            return rank_candidate_rules(client, features, program, 5)
+            features, code = self._features(client)
+            return rank_candidate_rules(client, features, code, 5)
         assert run(9) == run(9)
         assert run(9) != run(10) or run(9) != run(11)
 
@@ -193,33 +197,34 @@ class TestGeneratePlanBatch:
     def _features(self, client):
         from repro.miri import detect_ub
         case = load_dataset().get("uninit_assume_init_1")
-        program = parse_program(case.source)
+        view = program_view(case.source)
         report = detect_ub(case.source, collect=True)
-        return program, extract_features(client, program, report)
+        return view.code, extract_features(client, view.code,
+                                           view.unsafe_counts, report)
 
     def test_batch_returns_n_plans(self):
         from repro.llm.oracle import generate_plan_batch
         client = LLMClient("gpt-4", seed=3)
-        program, features = self._features(client)
-        plans = generate_plan_batch(client, features, program, 5)
+        code, features = self._features(client)
+        plans = generate_plan_batch(client, features, code, 5)
         assert len(plans) == 5
         assert all(isinstance(plan, list) for plan in plans)
 
     def test_batch_is_deterministic(self):
         from repro.llm.oracle import generate_plan_batch
         first = LLMClient("gpt-4", seed=3)
-        program, features = self._features(first)
+        code, features = self._features(first)
         second = LLMClient("gpt-4", seed=3)
         _, features2 = self._features(second)
-        assert generate_plan_batch(first, features, program, 4) == \
-            generate_plan_batch(second, features2, program, 4)
+        assert generate_plan_batch(first, features, code, 4) == \
+            generate_plan_batch(second, features2, code, 4)
 
     def test_batch_accounts_single_generation_call(self):
         from repro.llm.oracle import generate_plan_batch
         client = LLMClient("gpt-4", seed=3)
-        program, features = self._features(client)
+        code, features = self._features(client)
         before = client.stats.call_count
-        generate_plan_batch(client, features, program, 6)
+        generate_plan_batch(client, features, code, 6)
         assert client.stats.call_count == before + 1
 
     def test_samples_can_disagree(self):
@@ -229,8 +234,8 @@ class TestGeneratePlanBatch:
         diverse = False
         for seed in range(8):
             client = LLMClient("gpt-4", seed=seed, temperature=0.9)
-            program, features = self._features(client)
-            plans = generate_plan_batch(client, features, program, 6)
+            code, features = self._features(client)
+            plans = generate_plan_batch(client, features, code, 6)
             if len({tuple(plan) for plan in plans}) > 1:
                 diverse = True
                 break
@@ -239,9 +244,9 @@ class TestGeneratePlanBatch:
     def test_explicit_rng_skips_charging(self):
         import random
         client = LLMClient("gpt-4", seed=3)
-        program, features = self._features(client)
+        code, features = self._features(client)
         before = client.stats.call_count
-        plans = rank_candidate_rules(client, features, program, 1,
+        plans = rank_candidate_rules(client, features, code, 1,
                                      rng=random.Random(7))
         assert client.stats.call_count == before
         assert len(plans) == 1
@@ -251,6 +256,6 @@ class TestGeneratePlanBatch:
         # reach the batch layer's n >= 1 guard mid-campaign.
         from repro.llm.oracle import generate_plan_batch
         client = LLMClient("gpt-4", seed=3)
-        program, features = self._features(client)
-        assert rank_candidate_rules(client, features, program, 0) == []
-        assert generate_plan_batch(client, features, program, 0) == []
+        code, features = self._features(client)
+        assert rank_candidate_rules(client, features, code, 0) == []
+        assert generate_plan_batch(client, features, code, 0) == []

@@ -1,12 +1,17 @@
-"""Shared-tree gate: the detector may interpret the parse memo's own tree.
+"""Shared-tree gate: the detector, the checker and the repair engines may
+read the parse memo's own tree.
 
 ``repro.miri`` runs every string source on the tree
 :func:`~repro.lang.parser._parse_program_cached` holds, with no clone, so
 one tree serves every detector call — and every service worker thread —
-for as long as it stays in the memo.  That is only sound while the
-interpreter never writes to the AST.  Every source the project can
-produce (the hand-written UB corpus, the compile-error corpus, and 500
-seeded generator mutants) runs in both collect modes, and:
+for as long as it stays in the memo.  ``check_source`` reads the same
+tree, and so do the engines, through
+:func:`~repro.core.view.program_view`: ``rustbrain``, ``llm_only``,
+``rustassistant`` and the cascade rewrite clones of it, never the tree
+itself.  That is only sound while none of them writes to the AST.  Every
+source the project can produce (the hand-written UB corpus, the
+compile-error corpus, and 500 seeded generator mutants) runs in both
+collect modes, and:
 
 * each memo tree hashes the same, over every node's fields including
   spans and ``node_id``, before and after :func:`run_program`,
@@ -22,11 +27,15 @@ seeded generator mutants) runs in both collect modes, and:
 * every node span and every report span lies inside its source;
 * four threads detecting the same sources at once reproduce the serial
   reports;
-* borrow-tag numbering restarts per run on one shared tree.
+* borrow-tag numbering restarts per run on one shared tree;
+* the memo trees of every case source hash the same before and after
+  ``rustbrain``, ``rustbrain?kb=off``, ``llm_only?batched=on``,
+  ``rustassistant`` and the cascade repair it, and every memo tree of
+  the gate corpus hashes the same after ``check_source``.
 
-Any failure in the tree checks means the detector must go back to
-cloning; any failure in the memo checks means the memo changed an
-answer.
+Any failure in the tree checks means the detector, the checker or the
+engines must go back to cloning; any failure in the memo checks means
+the memo changed an answer.
 """
 
 import hashlib
@@ -38,8 +47,11 @@ import pytest
 
 import repro.miri as miri
 import repro.miri.borrows as borrows
+from repro.check import check_source
+from repro.core.view import program_view
 from repro.corpus.dataset import load_compile_dataset, load_dataset
 from repro.corpus.generator import generate_sources
+from repro.engine import create_engine
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import LexError
 from repro.lang.parser import (ParseError, _parse_program_cached,
@@ -73,6 +85,12 @@ fn main() {
 
 COLLECT_MODES = pytest.mark.parametrize("collect", [False, True],
                                         ids=["first-ub", "collect"])
+
+#: The engines the repair-side check runs over every case source.
+REPAIR_ARMS = ("rustbrain", "rustbrain?kb=off", "llm_only?batched=on",
+               "rustassistant",
+               "cascade?members=compile_fix:gpt-4+rustbrain:gpt-4")
+REPAIR_SEED = 300
 
 
 def _shape(value, pending: list):
@@ -154,6 +172,48 @@ class TestInterpreterIsReadOnly:
         before = tree_digest(tree)
         tree.items[0].scratch = 1
         assert tree_digest(tree) != before
+
+
+class TestRepairSideIsReadOnly:
+    def test_engines_leave_memo_trees_unchanged(self):
+        # A source's memo entry stays put across its own arms: every
+        # repair looks its tree up through the view, which refreshes it.
+        engines = [create_engine(spec, seed=REPAIR_SEED)
+                   for spec in REPAIR_ARMS]
+        sources = dict.fromkeys(
+            case.source for dataset in (load_dataset(),
+                                        load_compile_dataset())
+            for case in dataset.cases)
+        repaired = changed = 0
+        for source in sources:
+            tree = _memo_tree(source)
+            if tree is None:
+                continue
+            before = tree_digest(tree)
+            for engine in engines:
+                engine.repair(source)
+            assert program_view(source).tree is tree
+            assert _parse_program_cached(source) is tree
+            repaired += 1
+            if tree_digest(tree) != before:
+                changed += 1
+        assert repaired > 130
+        assert changed == 0, f"{changed} of {repaired} trees changed"
+
+    def test_checker_leaves_memo_trees_unchanged(self, corpus_sources):
+        checked = changed = 0
+        for source in corpus_sources:
+            tree = _memo_tree(source)
+            if tree is None:
+                continue
+            before = tree_digest(tree)
+            check_source(source)
+            assert _parse_program_cached(source) is tree
+            checked += 1
+            if tree_digest(tree) != before:
+                changed += 1
+        assert checked > 700
+        assert changed == 0, f"{changed} of {checked} trees changed"
 
 
 class TestSharedTreeReports:
