@@ -2,19 +2,17 @@
 """Model-portfolio smoke: ensembles vs standalone profiles, with hard gates.
 
 Stages, one artifact (``BENCH_ensemble.json``, schema
-``repro.bench_ensemble/4`` — see docs/reference.md for the changelog):
+``repro.bench_ensemble/5`` — see docs/reference.md for the changelog):
 
 1. **Execution-layer checks** on a three-category subset: the composite
-   arms run byte-identically under ``executor="serial"``,
-   ``executor="thread"``, and ``executor="process"`` (every pool leased
-   from the shared ExecutorService), and a warm re-run on the result
-   cache replays every case — zero engine (and therefore zero
-   ensemble-member) executions — with identical bytes and identical
-   ``on_member_done`` telemetry counts.  With ``--member-workers N > 1``
-   the composite arms carry ``member_workers=N``: the gates additionally
-   prove that the ``serial|thread|process`` member-pool backends are
-   byte-identical and that concurrent voting elects the same winners as
-   sequential voting.
+   arms run byte-identically under ``executor="serial"`` and
+   ``executor="process"`` (the pool leased from the shared
+   ExecutorService), and a warm re-run on the result cache replays every
+   case — zero engine (and therefore zero ensemble-member) executions —
+   with identical bytes and identical ``on_member_done`` telemetry
+   counts.  With ``--member-workers N > 1`` the composite arms carry
+   ``member_workers=N``, and a further gate proves that concurrent voting
+   elects the same winners as sequential voting.
 2. **Memoized verification**: from a cold detector memo, a scored
    campaign answers strictly more verification requests than it runs
    interpreters — the detector-invocations-per-repaired-case
@@ -53,7 +51,7 @@ from repro.engine import ResultCache
 from repro.miri import CASE_MEMO, DETECTOR_STATS
 from repro.miri.errors import UbKind
 
-SCHEMA = "repro.bench_ensemble/4"
+SCHEMA = "repro.bench_ensemble/5"
 DEFAULT_OUT = pathlib.Path(__file__).parent / "out" / "BENCH_ensemble.json"
 
 #: Identity-check subset: small enough for a serial reference run, wide
@@ -83,26 +81,11 @@ def _winners(result, label: str) -> list:
             for report in arm.reports]
 
 
-def _reports_sans_label(result, label: str) -> str:
-    """Arm reports as JSON with the engine label stripped — the label
-    embeds the spec string, which legitimately differs per backend."""
-    arm = next(arm for arm in result.arms if arm.label == label)
-    payload = []
-    for report in arm.reports:
-        entry = report.to_dict()
-        entry.pop("engine")
-        payload.append(entry)
-    return json.dumps(payload, sort_keys=True)
-
-
 def _identity_checks(member_workers: int) -> tuple[dict, dict]:
     dataset = load_dataset().subset(CHECK_CATEGORIES)
     arms = _composite_arms(member_workers)
     serial = ensemble_campaign(dataset, seed=CHECK_SEED, executor="serial",
                                arms=arms).run()
-    threaded = ensemble_campaign(dataset, seed=CHECK_SEED,
-                                 executor="thread", workers=4,
-                                 arms=arms).run()
     with tempfile.TemporaryDirectory(prefix="repro-ensemble-smoke-") as tmp:
         cache = ResultCache(tmp)
         cold = ensemble_campaign(dataset, seed=CHECK_SEED,
@@ -119,9 +102,7 @@ def _identity_checks(member_workers: int) -> tuple[dict, dict]:
     warm_events = {k: v for k, v in warm.telemetry.to_dict().items()
                    if not k.startswith("cache_")}
     checks = {
-        # serial == thread == process through the shared ExecutorService.
-        "thread_matches_serial":
-            _arm_payload(threaded) == _arm_payload(serial),
+        # serial == process through the shared ExecutorService.
         "process_matches_serial": _arm_payload(cold) == _arm_payload(serial),
         "warm_zero_member_executions":
             warm.telemetry.cache_counts() == (cases, 0)
@@ -143,16 +124,6 @@ def _identity_checks(member_workers: int) -> tuple[dict, dict]:
         checks["vote_winners_match_sequential"] = \
             _winners(serial, vote_arm) == \
             _winners(sequential, "portfolio?strategy=vote")
-        backends = {}
-        for backend in ("serial", "thread", "process"):
-            spec = (f"portfolio?strategy=vote"
-                    f"&member_workers={member_workers}"
-                    f"&member_executor={backend}")
-            run = ensemble_campaign(dataset, seed=CHECK_SEED,
-                                    executor="serial", arms=(spec,)).run()
-            backends[backend] = _reports_sans_label(run, spec)
-        checks["member_executors_byte_identical"] = \
-            len(set(backends.values())) == 1
     return checks, summary
 
 

@@ -68,12 +68,6 @@ def _summarize(label: str, runs: list[SystemResults]) -> ArmSummary:
     )
 
 
-#: Executor for figure regeneration.  Stateful per-seed sweeps cannot split
-#: within an arm, but one-arm-per-seed campaigns parallelise across arms —
-#: "process" saturates the cores; set REPRO_FIGURES_EXECUTOR=serial to
-#: fall back to fully in-process runs (e.g. when debugging an engine).
-_FIGURES_EXECUTOR = os.environ.get("REPRO_FIGURES_EXECUTOR", "process")
-
 #: In-process memo: the same (spec, model, seeds, temperature, dataset) arm
 #: is referenced by several figures (fig8, fig12, Table I, the ablations) —
 #: each used to recompute the full repeat-sampled sweep from scratch.
@@ -95,13 +89,14 @@ def _figures_cache() -> ResultCache | None:
 
 def _seed_campaign(arm_specs, dataset: Dataset, model: str,
                    temperature: float) -> Campaign:
-    """A shared-isolation campaign fanning one stateful arm per seed."""
-    workers = 1
-    executor = _FIGURES_EXECUTOR
-    if executor == "process" and len(arm_specs) > 1:
-        workers = min(len(arm_specs), os.cpu_count() or 1)
+    """A shared-isolation campaign fanning one stateful arm per seed.
+
+    Stateful sweeps cannot split within an arm, but several arms run in
+    parallel on the process pool, one whole arm per worker.
+    """
     return Campaign(arm_specs, dataset, model=model, temperature=temperature,
-                    isolation="shared", executor=executor, workers=workers,
+                    isolation="shared",
+                    workers=min(len(arm_specs), os.cpu_count() or 1),
                     cache=_figures_cache())
 
 
@@ -112,7 +107,7 @@ def run_arm(kind: str, model: str, seeds=DEFAULT_SEEDS,
 
     Each arm keeps the paper's stateful shared-isolation semantics (the
     numbers are bit-identical to the old serial ``evaluate_spec`` loop);
-    with the process executor the per-seed sweeps run in parallel, repeated
+    the per-seed sweeps run in parallel on the process pool, repeated
     references to the same arm are served from the in-process memo, and an
     optional ``REPRO_CACHE_DIR`` result cache survives across processes.
     """
@@ -164,13 +159,12 @@ ENSEMBLE_COMPOSITE_ARMS = ("portfolio", "cascade", "switch")
 
 
 def ensemble_campaign(dataset: Dataset | None = None, *, seed: int = 3,
-                      executor: str | None = None, workers: int | None = None,
+                      executor: str = "process", workers: int | None = None,
                       cache: ResultCache | None = None,
                       arms=ENSEMBLE_STANDALONE_ARMS
                       + ENSEMBLE_COMPOSITE_ARMS) -> Campaign:
     """The model-portfolio campaign: per-case isolation (ensembles derive
     member seeds themselves), sharded across the process pool."""
-    executor = executor if executor is not None else _FIGURES_EXECUTOR
     if workers is None:
         workers = (os.cpu_count() or 1) if executor != "serial" else 1
     dataset = dataset if dataset is not None else load_dataset()

@@ -668,12 +668,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per_case: fresh engine + derived seed per "
                                  "case (parallel-safe); shared: one stateful "
                                  "engine per arm, serial within the arm")
-    p_campaign.add_argument("--executor", default="thread",
-                            choices=("serial", "thread", "process"),
-                            help="worker pool backend; 'process' gives real "
-                                 "multi-core parallelism for the CPU-bound "
-                                 "repair pipeline (results are byte-"
-                                 "identical across backends)")
+    p_campaign.add_argument("--executor", default="process",
+                            choices=("serial", "process"),
+                            help="'process' (default) shards cases across a "
+                                 "process pool when --workers > 1; 'serial' "
+                                 "is the in-process reference (results are "
+                                 "byte-identical across backends)")
     p_campaign.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="consult/populate a content-addressed "
                                  "result cache (default: $REPRO_CACHE_DIR "

@@ -21,14 +21,6 @@ class Triplet:
     seconds: float
     tokens: int
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "acceptability": self.acceptability,
-            "seconds": round(self.seconds, 2),
-            "tokens": self.tokens,
-        }
-
 
 def observable_trace(source: str) -> tuple[bool, list[str]]:
     """(passed, stdout) of a program under the detector.

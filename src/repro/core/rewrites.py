@@ -120,10 +120,6 @@ def trigger_tokens(program: ast.Program) -> frozenset[str]:
     return frozenset(tokens)
 
 
-def get_rule(name: str) -> RewriteRule:
-    return REGISTRY[name]
-
-
 def rules_of_kind(kind: FixKind) -> list[RewriteRule]:
     return [rule for rule in REGISTRY.values() if rule.kind is kind]
 

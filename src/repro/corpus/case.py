@@ -50,9 +50,6 @@ class UbCase:
     def strategy_rules(self) -> list[str]:
         return [s.rule for s in self.strategies]
 
-    def exact_rules(self) -> set[str]:
-        return {s.rule for s in self.strategies if s.exact}
-
 
 #: Benign filler statements (no unsafe ops, literal-only arithmetic, no IO)
 #: mixed into every case. Real-world functions carry plenty of logic that is

@@ -133,9 +133,3 @@ def load_manifest(path: str | Path) -> Dataset:
             f"{path}: count field says {document.get('count')}, "
             f"file holds {len(entries)} cases")
     return Dataset(tuple(case_from_dict(entry) for entry in entries))
-
-
-def load_report(path: str | Path) -> dict | None:
-    """The generation report stored alongside the cases, if any."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    return document.get("report")

@@ -11,6 +11,11 @@ One import surface for everything above the individual arms::
     result = campaign.run()
     result.save("campaign.json")
 
+A campaign with ``workers > 1`` shards its cases across the process pool
+it leases from :data:`EXECUTOR_SERVICE`; results are byte-identical to a
+serial run.  Call ``EXECUTOR_SERVICE.shutdown()`` to release the pools
+before exit (an atexit hook does it otherwise).
+
 Arms register themselves where they are implemented
 (:mod:`repro.core.pipeline`, :mod:`repro.baselines.llm_only`,
 :mod:`repro.baselines.rustassistant`) via :func:`register_engine`; the
@@ -30,10 +35,10 @@ from .pool import (EXECUTOR_SERVICE, POOL_KINDS, CoreBudget,
                    ExecutorService)
 from .retry import (CAMPAIGN_RETRY, LLM_RETRY, RETRY_EVENTS, SERVICE_RETRY,
                     RetryNotifier, RetryPolicy)
-from .ensemble import (DEFAULT_MEMBERS, ENSEMBLE_KINDS, MEMBER_EXECUTORS,
-                       STRATEGIES, EnsembleConfig, EnsembleEngine, Member,
-                       member_seed, parse_member, parse_members,
-                       parse_routes, parse_weights)
+from .ensemble import (DEFAULT_MEMBERS, ENSEMBLE_KINDS, STRATEGIES,
+                       EnsembleConfig, EnsembleEngine, Member, member_seed,
+                       parse_member, parse_members, parse_routes,
+                       parse_weights)
 from .registry import (REGISTRY, EngineConfigError, EngineInfo,
                        EngineRegistry, RepairEngine, UnknownEngineError,
                        apply_config_overrides, available_engines,

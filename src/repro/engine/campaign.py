@@ -8,24 +8,20 @@ outcome of a case depends only on ``(spec, model, campaign seed, case
 index)`` — never on scheduling — and a pooled run is byte-identical to a
 serial one at any worker count.
 
-Three execution backends share that invariant (``executor=``):
+Two execution backends share that invariant (``executor=``):
 
 * ``"serial"`` — in-process, no pool; the reference semantics.
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.  Case
-  execution is pure-Python CPU-bound, so threads mostly help when observers
-  or the cache do I/O; kept as the low-overhead default.
-* ``"process"`` — a process pool over picklable shard tasks: real
-  multi-core parallelism for the parse → interpret → repair pipeline.
-  Workers return plain :class:`~repro.engine.types.RepairReport` lists;
-  all telemetry is emitted in the parent in deterministic (submission)
+* ``"process"`` (default) — in-process at ``workers=1``; with more
+  workers, a process pool over picklable shard tasks: real multi-core
+  parallelism for the parse → interpret → repair pipeline.  Workers
+  return plain :class:`~repro.engine.types.RepairReport` lists; all
+  telemetry is emitted in the parent in deterministic (submission)
   order.
 
-Thread and process pools are *leased* from the shared
+Process pools are *leased* from the shared
 :data:`~repro.engine.pool.EXECUTOR_SERVICE` (see DESIGN.md, "Execution
-resources"): repeated campaigns reuse one long-lived pool per
-``(kind, workers)``, idle pools are reaped after a timeout, and the
-service's core budget keeps nested campaign×ensemble parallelism from
-oversubscribing the machine — all wall-clock-only, never bytes.
+resources"): repeated campaigns reuse one long-lived pool per width,
+clamped to the service's core budget — wall-clock only, never bytes.
 
 A :class:`~repro.engine.cache.ResultCache` (``cache=``/``cache_dir=``) is
 consulted in the parent before any case is dispatched: hits are replayed
@@ -41,10 +37,11 @@ The legacy stateful path — one shared engine walked serially over the
 dataset, accumulating feedback memory across cases — lives on as
 :func:`run_cases` and as ``isolation="shared"``.  A shared sweep is
 order-dependent by design, so within an arm it always runs serially
-(``workers > 1`` falls back with a warning); with ``executor="process"``
-and several arms, whole arms run in parallel instead — each arm keeps its
-exact stateful semantics while the pool stays saturated, which is how the
-benchmark figures fan their per-seed repeat samples out.
+(a one-arm campaign with ``workers > 1`` falls back with a warning); with
+several arms and ``workers > 1``, whole arms run in parallel instead —
+each arm keeps its exact stateful semantics while the pool stays
+saturated, which is how the benchmark figures fan their per-seed repeat
+samples out.
 
 Campaigns are resilient (see DESIGN.md, "Failure model & recovery"):
 
@@ -90,7 +87,7 @@ from .types import RepairReport, RepairRequest, run_request
 #: Multiplier decorrelating per-case seeds from neighbouring campaign seeds.
 _CASE_SEED_STRIDE = 100_003
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def case_seed(campaign_seed: int, index: int) -> int:
@@ -277,9 +274,9 @@ class Campaign:
       cross-case state (RustBrain's self-learning feedback memory)
       accumulates exactly as in the paper's experiments.  A stateful sweep
       is order-dependent by design: within an arm it always runs serially.
-      With ``executor="process"`` and more than one arm, whole arms are
-      dispatched to the pool instead; otherwise ``workers > 1`` falls back
-      to serial with a :class:`RuntimeWarning` rather than silently
+      With ``workers > 1`` and more than one arm, whole arms are
+      dispatched to the process pool instead; a one-arm campaign falls
+      back to serial with a :class:`RuntimeWarning` rather than silently
       changing semantics.
     """
 
@@ -287,7 +284,7 @@ class Campaign:
                  model: str = "gpt-4", seed: int = 0,
                  temperature: float = 0.5, workers: int = 1,
                  shard_size: int = 8, isolation: str = "per_case",
-                 executor: str = "thread",
+                 executor: str = "process",
                  cache: ResultCache | None = None,
                  cache_dir=None, observers=(),
                  faults=None, retry: RetryPolicy | None = None,
@@ -311,16 +308,13 @@ class Campaign:
                              f"got {executor!r}")
         if executor == "serial" and workers > 1:
             raise ValueError("the serial executor runs in-process; "
-                             "use executor='thread' or 'process' with "
-                             "workers > 1")
+                             "use executor='process' with workers > 1")
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache= or cache_dir=, not both")
-        if isolation == "shared" and workers > 1 \
-                and not (executor == "process" and len(self.specs) > 1):
+        if isolation == "shared" and workers > 1 and len(self.specs) == 1:
             warnings.warn(
                 "shared isolation is a stateful serial sweep; forcing "
-                "workers=1 (use executor='process' with several arms to "
-                "parallelise across arms instead)",
+                "workers=1 (several arms parallelise across arms instead)",
                 RuntimeWarning, stacklevel=2)
             workers = 1
         # Fail fast: resolve every arm now (unknown engines, bad config
@@ -377,10 +371,6 @@ class Campaign:
     def label_for(self, spec: EngineSpec) -> str:
         return arm_label(spec, self.model)
 
-    @property
-    def _pooled(self) -> bool:
-        return self.workers > 1 and self.executor != "serial"
-
     def _arm_seeding(self, spec: EngineSpec) -> tuple[int, EngineSpec]:
         """See :func:`hoist_pinned_seed` (the arm base is the campaign
         seed unless the spec pins its own)."""
@@ -403,13 +393,6 @@ class Campaign:
                              engine_label=label)
         self._emit_case_done(label, case.name, index, total, report)
         return report
-
-    def _run_shard(self, spec: EngineSpec, label: str, base_seed: int,
-                   shard, total: int) -> list[RepairReport]:
-        # Per-case engines only: shared (stateful) sweeps never go through
-        # shards — they run in _run_shared_arm, serially, by construction.
-        return [self._run_case(spec, label, base_seed, index, case, total)
-                for index, case in shard]
 
     def _emit_case_done(self, label: str, case_name: str, index: int,
                         total: int, report: RepairReport) -> None:
@@ -575,30 +558,12 @@ class Campaign:
             self._emit_round(label, round_index, rounds, completed, total,
                             passed)
 
-        if not self._pooled:
+        if self.workers == 1:
             for round_index, plan in enumerate(plans):
-                miss_reports = self._run_shard(run_spec, label, base_seed,
-                                               plan.misses, total)
+                miss_reports = [self._run_case(run_spec, label, base_seed,
+                                               index, case, total)
+                                for index, case in plan.misses]
                 collect(round_index, plan, miss_reports, replay_misses=False)
-        elif self.executor == "thread":
-            # Pools come from the shared ExecutorService: leased for the
-            # arm, reused by the next one, reaped only after idling out.
-            with EXECUTOR_SERVICE.lease("thread", self.workers) as pool:
-                futures = [pool.submit(self._run_shard, run_spec, label,
-                                       base_seed, plan.misses, total)
-                           for plan in plans]
-                # Collect in submission order: reports stay dataset-ordered
-                # and round events fire deterministically even though shards
-                # complete in any order.  The pool is shared, so an error
-                # must not leave orphan shards running behind the raise.
-                try:
-                    for round_index, (future, plan) in enumerate(
-                            zip(futures, plans)):
-                        collect(round_index, plan, future.result(),
-                                replay_misses=False)
-                except BaseException:
-                    cancel_and_wait(futures)
-                    raise
         else:
             spec_str = run_spec.to_string()
             faults_str = self.fault_plan.to_string()
@@ -722,7 +687,7 @@ class Campaign:
                             total, passed)
         return reports
 
-    # -- arm-level pooling (shared isolation, process executor) ------------
+    # -- arm-level pooling (shared isolation, several arms) ----------------
 
     def _run_arms_pooled(self) -> list[ArmRun]:
         """Dispatch whole stateful arms to a process pool.
@@ -852,9 +817,7 @@ class Campaign:
         try:
             with RETRY_EVENTS.subscribed(
                     lambda event: self._emit("on_retry", event)):
-                if self.isolation == "shared" and self._pooled \
-                        and self.executor == "process" \
-                        and len(self.specs) > 1:
+                if self.isolation == "shared" and self.workers > 1:
                     arms = self._run_arms_pooled()
                 else:
                     arms = [self._run_arm(spec) for spec in self.specs]

@@ -46,28 +46,24 @@ lists like ``gpt-3.5+gpt-4`` read the way Fig. 8/9 do.
 Determinism: member ``i`` of a repair with ensemble seed ``s`` runs with
 the derived seed ``s * 104_729 + repair_index * 977 + i`` — a pure function
 of the ensemble's own (campaign-derived) seed, so ensemble arms shard
-byte-identically across ``serial|thread|process`` executors and nest
-without correlating their members.  Virtual-clock seconds, tokens, and
+byte-identically across ``serial|process`` executors and nest without
+correlating their members.  Virtual-clock seconds, tokens, and
 calls accumulate across every consulted member, and the per-member
 summaries travel inside the :class:`~repro.engine.types.RepairReport` to
 surface as ``on_member_done`` telemetry.
 
 Concurrent consultation (``member_workers=``): members whose consultations
 are independent — the run-everyone portfolio strategies (``best_score``,
-``vote``) and ``switch``'s escalation chain — execute in *waves* of up to
-``member_workers`` members over a thread or process pool
-(``member_executor=thread|process``; ``serial`` runs the same waves
-in-process).  Because member seeds are pure functions of
-``(ensemble seed, repair_index, member_index)``, pooled consultation is
-byte-identical to running the same waves serially at any pool size; the
-backend is pure wall-clock.  ``member_workers`` itself, however, is
-*semantic*: a wave charges ``max(member seconds)`` to the virtual clock
-instead of the sequential sum (see DESIGN.md, "Concurrent members"), which
-is why changing it — like any engine-behaviour change — rides a
-:data:`~repro.engine.cache.CACHE_EPOCH` bump.  First-pass chains (plain
-``first_pass``, ``cascade``, the routed ``switch`` member whose verdict
-gates escalation) are order-dependent by definition and always consult
-sequentially.
+``vote``) and ``switch``'s escalation chain — are planned in *waves* of up
+to ``member_workers`` members.  Waves model concurrency on the virtual
+clock: a wave charges ``max(member seconds)`` instead of the sequential
+sum (see DESIGN.md, "Concurrent members"), while its members run
+in-process, in declaration order.  ``member_workers`` is therefore
+*semantic* — part of the arm's identity, which is why introducing it
+rode a :data:`~repro.engine.cache.CACHE_EPOCH` bump.  First-pass chains
+(plain ``first_pass``, ``cascade``, the routed ``switch`` member whose
+verdict gates escalation) are order-dependent by definition and always
+consult one member per wave.
 
 Portfolios additionally support ``weights=`` (per-member vote weights for
 ``strategy=vote``) and ``budget_tokens=`` / ``budget_seconds=``: after
@@ -84,12 +80,11 @@ bytes are identical to a live run's, so caching never changes results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..llm.profiles import PROFILES
 from ..miri.errors import UbKind
 from .cache import ResultCache, case_key, fingerprint_case
-from .pool import EXECUTOR_SERVICE, cancel_and_wait
 from .registry import (EngineConfigError, REGISTRY, apply_config_overrides,
                        create_engine, register_engine)
 from .spec import EngineSpec, SpecError, arm_label
@@ -102,11 +97,6 @@ ENSEMBLE_KINDS = ("portfolio", "cascade", "switch")
 
 #: Portfolio winner-selection strategies.
 STRATEGIES = ("first_pass", "best_score", "vote")
-
-#: Pool backends for concurrent member consultation.  The backend never
-#: changes bytes — ``serial`` exists so the identity tests (and debuggers)
-#: can run the exact wave semantics in-process.
-MEMBER_EXECUTORS = ("serial", "thread", "process")
 
 #: Member-seed derivation constants (see the module docstring).  The
 #: stride decorrelates neighbouring ensemble seeds; the repair stride
@@ -258,33 +248,6 @@ def _member_cache(root: str) -> ResultCache:
     return cache
 
 
-def _process_pool_allowed() -> bool:
-    """Member process pools are a main-process facility.
-
-    A campaign process-pool worker that spawned its own member pool would
-    hang at exit: its grandchildren are long-lived (never sent a shutdown
-    sentinel) and ``multiprocessing``'s exit function joins non-daemonic
-    children.  Inside any multiprocessing child the process backend
-    degrades to the thread pool — byte-identical results, wall-clock only
-    (the campaign's own pool already owns the machine's cores there).
-    """
-    import multiprocessing
-    return multiprocessing.parent_process() is None
-
-
-def _execute_member_task(spec: str, model: str, temperature: float,
-                         seed: int, source: str, difficulty: int,
-                         label: str):
-    """Build and run one member engine — picklable for the process pool,
-    and the single execution path for inline/thread consultation too."""
-    engine = create_engine(spec, model=model, seed=seed,
-                           temperature=temperature)
-    return run_request(
-        engine, RepairRequest(name="member", source=source,
-                              difficulty=difficulty),
-        engine_label=label)
-
-
 @dataclass
 class EnsembleConfig:
     model: str = "gpt-4"
@@ -307,14 +270,11 @@ class EnsembleConfig:
     #: Optional per-member ResultCache root shared across ensembles.
     member_cache_dir: str = ""
     #: Concurrent-consultation width: independent consultations (run-
-    #: everyone portfolio strategies, switch escalation) execute in waves
-    #: of up to this many members, each wave charging max(member seconds)
-    #: to the virtual clock instead of the sum.  A *semantic* parameter —
-    #: part of the arm's identity, unlike the executor below.
+    #: everyone portfolio strategies, switch escalation) are planned in
+    #: waves of up to this many members, each wave charging max(member
+    #: seconds) to the virtual clock instead of the sum.  A *semantic*
+    #: parameter — part of the arm's identity.
     member_workers: int = 1
-    #: Pool backend for waves wider than one member: serial | thread |
-    #: process.  Pure wall-clock — every backend is byte-identical.
-    member_executor: str = "thread"
     #: Portfolio ``strategy=vote`` only: per-member vote weights
     #: (``,``-separated positive numbers in member declaration order).
     #: ``None`` default (not ``""``) so a single-member ``weights=2``,
@@ -367,11 +327,6 @@ class EnsembleEngine:
             raise EngineConfigError(
                 f"member_workers must be >= 1, got "
                 f"{self.config.member_workers}")
-        if self.config.member_executor not in MEMBER_EXECUTORS:
-            raise EngineConfigError(
-                f"member_executor must be one of "
-                f"{', '.join(MEMBER_EXECUTORS)}, got "
-                f"{self.config.member_executor!r}")
         self.weights = parse_weights(self.config.weights, len(self.members))
         if self.weights is not None and (
                 kind != "portfolio" or self.config.strategy != "vote"):
@@ -395,103 +350,36 @@ class EnsembleEngine:
     def _member_model(self, member: Member) -> str:
         return member.model or self.config.model
 
-    def _member_task(self, index: int, source: str, difficulty: int,
-                     repair_index: int) -> tuple[str | None, tuple]:
-        """The cache key (``None`` when uncached) and picklable
-        :func:`_execute_member_task` args for one member — the single
-        derivation both the inline and the pooled path consult, so they
-        cannot drift cache-incompatible."""
+    def _run_member(self, index: int, source: str, difficulty: int,
+                    repair_index: int):
+        """Run (or replay from the member cache) one member's repair,
+        returning its RepairReport."""
         member = self.members[index]
+        spec = member.spec.to_string()
         model = self._member_model(member)
         seed = member_seed(self.config.seed, repair_index, index)
         key = None
         if self._cache is not None:
-            key = case_key(member.spec.to_string(), model,
-                           self.config.temperature, seed,
+            key = case_key(spec, model, self.config.temperature, seed,
                            fingerprint_case("member", source, None,
                                             difficulty, None))
-        return key, (member.spec.to_string(), model,
-                     self.config.temperature, seed, source, difficulty,
-                     arm_label(member.spec, model))
-
-    def _run_member(self, member: Member, index: int, source: str,
-                    difficulty: int, repair_index: int):
-        """Run (or replay) one member inline, returning its RepairReport."""
-        key, task = self._member_task(index, source, difficulty,
-                                      repair_index)
-        if key is not None:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached[0]
-        report = _execute_member_task(*task)
+        engine = create_engine(spec, model=model, seed=seed,
+                               temperature=self.config.temperature)
+        report = run_request(
+            engine, RepairRequest(name="member", source=source,
+                                  difficulty=difficulty),
+            engine_label=arm_label(member.spec, model))
         if key is not None:
             self._cache.put(key, [report])
         return report
 
-    def _consult(self, wave: list[int], source: str, difficulty: int,
-                 repair_index: int) -> list:
-        """Run (or replay) one wave's members, reports in wave order.
-
-        Pooling never changes bytes: seeds are pure functions of the
-        ensemble inputs, member executions share no state, and the member
-        cache is read and written parent-side in declaration order.
-        """
-        if (len(wave) == 1 or self.config.member_workers == 1
-                or self.config.member_executor == "serial"):
-            return [self._run_member(self.members[index], index, source,
-                                     difficulty, repair_index)
-                    for index in wave]
-        results: dict[int, object] = {}
-        pending = []  # (wave position, cache key, picklable task args)
-        for position, index in enumerate(wave):
-            key, task = self._member_task(index, source, difficulty,
-                                          repair_index)
-            if key is not None:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    results[position] = cached[0]
-                    continue
-            pending.append((position, key, task))
-        if pending:
-            if self.config.member_executor == "process" \
-                    and _process_pool_allowed():
-                # Leased from the shared ExecutorService: one long-lived
-                # process pool per width, reused across cases and arms,
-                # reaped when idle, budget-accounted against campaigns.
-                with EXECUTOR_SERVICE.lease(
-                        "process", self.config.member_workers) as pool:
-                    futures = [pool.submit(_execute_member_task, *task)
-                               for _position, _key, task in pending]
-                    try:
-                        fresh = [future.result() for future in futures]
-                    except BaseException:
-                        # Shared pool: never leave wave tasks running
-                        # behind a propagating error.
-                        cancel_and_wait(futures)
-                        raise
-            else:
-                # Deliberately ephemeral, not shared like the process
-                # pools: a nested ensemble's wave submits from inside an
-                # outer wave's worker thread, and blocking on an inner
-                # future in a *shared* bounded pool would starve it into
-                # deadlock.  The service still accounts the wave against
-                # the core budget (the width may be clamped — pure
-                # wall-clock) and thread spawn cost is noise next to a
-                # member execution.
-                workers = min(self.config.member_workers, len(pending))
-                with EXECUTOR_SERVICE.ephemeral("thread", workers) as pool:
-                    futures = [pool.submit(_execute_member_task, *task)
-                               for _position, _key, task in pending]
-                    fresh = [future.result() for future in futures]
-            for (position, key, _task), report in zip(pending, fresh):
-                if key is not None:
-                    self._cache.put(key, [report])
-                results[position] = report
-        return [results[position] for position in range(len(wave))]
-
     def _plan_waves(self, order: list[int],
                     run_all: bool) -> list[list[int]]:
-        """Partition the consultation order into concurrently-run waves.
+        """Partition the consultation order into waves, each charged to
+        the virtual clock as if its members ran concurrently.
 
         Only independent consultations widen: run-everyone portfolio
         strategies chunk the whole order; switch escalation chunks the
@@ -585,9 +473,10 @@ class EnsembleEngine:
         seconds = overhead_seconds
         budget_hit = False
         for wave_number, wave in enumerate(waves):
-            wave_reports = self._consult(wave, source, difficulty,
-                                         repair_index)
-            # A wave runs concurrently, so it charges its slowest member —
+            wave_reports = [self._run_member(index, source, difficulty,
+                                             repair_index)
+                            for index in wave]
+            # A wave models concurrent members, so it charges its slowest —
             # singleton waves (member_workers=1) degrade to the plain sum.
             seconds += max(r.seconds for r in wave_reports)
             for member_index, report in zip(wave, wave_reports):

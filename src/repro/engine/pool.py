@@ -1,30 +1,22 @@
 """Shared execution resources: one service owns every worker pool.
 
-Campaigns shard cases across thread/process pools, ensembles consult
-members in concurrent waves, and the benchmark figures fan whole stateful
-arms out per seed — before this module each of those built (or hoarded)
-its own ``concurrent.futures`` executor.  :class:`ExecutorService` is the
-single owner:
+Campaigns shard cases (or whole stateful arms) across a process pool and
+the repair service runs its jobs on a thread pool.  :class:`ExecutorService`
+is the single owner of those ``concurrent.futures`` executors:
 
 * **Shared keyed pools** (:meth:`ExecutorService.lease`): one executor
   per ``(kind, workers)``, created on first lease and *reused* across
-  campaigns and ensemble waves — a repeated process campaign no longer
-  pays a fork-and-import storm per run.
-* **Idle-timeout reaping**: a pool whose last lease ended more than
-  ``idle_timeout`` seconds ago (``$REPRO_POOL_IDLE_SECONDS``, default
-  300) is shut down on the next service interaction (or an explicit
-  :meth:`~ExecutorService.reap_idle`) and transparently recreated when
-  next leased.  Leased pools are never reaped.
-* **A core-budget accountant** (:class:`CoreBudget`): a shared pool
-  charges its worker slots against one process-wide budget
-  (``$REPRO_CORE_BUDGET``, default the CPU count) while it is leased —
+  campaigns — a repeated process campaign no longer pays a
+  fork-and-import storm per run.  Pools live until
+  :meth:`~ExecutorService.shutdown` (called at exit).
+* **A core-budget accountant** (:class:`CoreBudget`): a pool's width is
+  clamped to the budget's total (``$REPRO_CORE_BUDGET``, default the CPU
+  count), and a leased pool charges that width while it is leased —
   concurrent leases of one pool share the charge, since they share the
-  workers — and every :meth:`~ExecutorService.ephemeral` pool grants
-  its width dynamically against what remains, so nested
-  campaign×member parallelism degrades to fewer workers instead of
-  oversubscribing the machine.  Worker counts are pure wall-clock
-  everywhere in this codebase — clamping a pool never changes a byte of
-  any result (``benchmarks/ensemble_smoke.py`` gates exactly that).
+  workers.  Worker counts are pure wall-clock everywhere in this
+  codebase — clamping a pool never changes a byte of any result.
+* **Broken-pool replacement**: a process pool whose worker died is
+  replaced on the next lease instead of failing every later submit.
 * **Fork safety**: a forked child (e.g. a campaign process-pool worker)
   inherits the pool table but not the executors' manager threads —
   submitting to an inherited pool would hang forever, and an inherited
@@ -32,14 +24,8 @@ single owner:
   ``os.register_at_fork`` hook resets the child's service to empty with
   fresh locks and a fresh budget.
 
-:meth:`ExecutorService.ephemeral` exists for the one place a shared
-bounded pool is *wrong*: nested ensemble waves, where an inner wave
-submits from an outer wave's worker thread and blocking on an inner
-future in the same bounded pool would starve it into deadlock.  An
-ephemeral pool is budget-accounted and torn down on exit, never shared.
-
 The process-wide instance is :data:`EXECUTOR_SERVICE`; tests build their
-own service with an injected clock to drive reaping deterministically.
+own service with a small budget.
 """
 
 from __future__ import annotations
@@ -47,7 +33,6 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import time
 from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
 from contextlib import contextmanager
@@ -55,9 +40,6 @@ from dataclasses import dataclass
 
 #: Pool backends the service manages.
 POOL_KINDS = ("thread", "process")
-
-#: Default idle lifetime of an unleased pool, seconds.
-DEFAULT_IDLE_TIMEOUT = 300.0
 
 
 def _env_positive(name: str, default, convert):
@@ -69,19 +51,6 @@ def _env_positive(name: str, default, convert):
     except ValueError:
         return default
     return value if value > 0 else default
-
-
-def _env_idle_timeout(default: float) -> float:
-    """The idle timeout accepts any float: negative values are the
-    documented way to disable reaping entirely, so — unlike the core
-    budget — they must pass through rather than fall back."""
-    raw = os.environ.get("REPRO_POOL_IDLE_SECONDS", "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
 
 
 def cancel_and_wait(futures) -> None:
@@ -101,15 +70,8 @@ def cancel_and_wait(futures) -> None:
 
 
 class CoreBudget:
-    """Process-wide worker-slot accountant.
-
-    ``grant(requested)`` returns how many workers a pool may actually
-    use: the request clamped to the unspent budget, but never less than
-    ``minimum`` — a starved caller still gets one slot rather than
-    deadlocking, at the cost of bounded oversubscription.  Worker counts
-    are wall-clock-only throughout the engine layer, so a clamp is
-    always safe.
-    """
+    """Process-wide worker-slot accountant: ``total`` slots, of which the
+    currently leased pools hold ``in_use``."""
 
     def __init__(self, total: int | None = None):
         if total is None:
@@ -129,32 +91,19 @@ class CoreBudget:
         with self._lock:
             return self._used
 
-    def grant(self, requested: int, minimum: int = 1) -> int:
-        if requested < 1:
-            raise ValueError("requested workers must be >= 1")
-        with self._lock:
-            free = max(0, self.total - self._used)
-            granted = max(minimum, min(requested, free))
-            self._used += granted
-            return granted
-
     def charge(self, workers: int) -> int:
-        """Record ``workers`` slots unconditionally (no clamp).
-
-        For pools whose width is already fixed: the accounting must
-        reflect the workers that actually exist, even when that briefly
-        overshoots the total — otherwise later :meth:`grant` calls would
-        hand out cores the machine does not have free.
-        """
+        """Record ``workers`` slots unconditionally (no clamp): the
+        accounting must reflect the workers that actually exist, even
+        when concurrent pools together overshoot the total."""
         if workers < 1:
             raise ValueError("charged workers must be >= 1")
         with self._lock:
             self._used += workers
             return workers
 
-    def release(self, granted: int) -> None:
+    def release(self, workers: int) -> None:
         with self._lock:
-            self._used = max(0, self._used - granted)
+            self._used = max(0, self._used - workers)
 
 
 @dataclass
@@ -162,45 +111,25 @@ class _PoolEntry:
     executor: object
     kind: str
     workers: int
+    #: Open leases.  While there is at least one, the pool's ``workers``
+    #: are charged to the budget once — concurrent leases share them.
     leases: int = 0
-    idle_since: float | None = None
-    #: Budget slots charged while the pool is leased (first lease charges,
-    #: concurrent leases of the same pool share the charge — they share
-    #: the same workers).
-    charged: int = 0
     #: Removed from the table (broken pool replaced) while leases were
     #: still open: the last lease to release tears it down.
     detached: bool = False
 
 
-@dataclass
-class ServiceStats:
-    """Lifetime counters, mostly for tests and the DESIGN worked example."""
-
-    created: int = 0
-    reaped: int = 0
-    leases: int = 0
-    ephemerals: int = 0
-
-
 class ExecutorService:
     """Owner of every shared worker pool (see the module docstring)."""
 
-    def __init__(self, *, idle_timeout: float | None = None,
-                 clock=time.monotonic, budget: CoreBudget | None = None):
-        if idle_timeout is None:
-            idle_timeout = _env_idle_timeout(DEFAULT_IDLE_TIMEOUT)
-        self.idle_timeout = idle_timeout
-        self._clock = clock
+    def __init__(self, *, budget: CoreBudget | None = None):
         self.budget = budget if budget is not None else CoreBudget()
-        self.stats = ServiceStats()
         self._pools: dict[tuple[str, int], _PoolEntry] = {}
         self._lock = threading.Lock()
 
     # -- pool construction -------------------------------------------------
 
     def _make(self, kind: str, workers: int):
-        self.stats.created += 1
         if kind == "thread":
             return ThreadPoolExecutor(max_workers=workers)
         return ProcessPoolExecutor(max_workers=workers)
@@ -215,12 +144,11 @@ class ExecutorService:
 
     @contextmanager
     def lease(self, kind: str, workers: int):
-        """Borrow the shared ``(kind, granted-workers)`` pool.
+        """Borrow the shared ``(kind, clamped-workers)`` pool.
 
         The yielded executor is shared — callers submit and collect their
-        own futures but must not shut it down.  While at least one lease
-        is open the pool cannot be reaped; when the last lease closes the
-        idle clock starts.
+        own futures but must not shut it down.  The pool outlives the
+        lease and is reused by the next one.
         """
         if kind not in POOL_KINDS:
             raise ValueError(f"kind must be one of {POOL_KINDS}, "
@@ -235,7 +163,6 @@ class ExecutorService:
         entry: _PoolEntry | None = None
         try:
             with self._lock:
-                self._collect_idle(reap)
                 entry = self._pools.get(key)
                 if entry is not None and not self._usable(entry):
                     # Replace the broken pool for new lessees.  Shutting
@@ -258,12 +185,9 @@ class ExecutorService:
                     # they share one budget charge: the first lease pays,
                     # the last release refunds.  The charge is the pool's
                     # full width, unclamped — these workers exist whether
-                    # or not the budget had room, and under-recording them
-                    # would let later grants oversubscribe further.
-                    entry.charged = self.budget.charge(width)
+                    # or not the budget had room.
+                    self.budget.charge(width)
                 entry.leases += 1
-                entry.idle_since = None
-                self.stats.leases += 1
             self._shutdown_entries(reap)
             reap = []
             yield entry.executor
@@ -272,71 +196,22 @@ class ExecutorService:
                 with self._lock:
                     entry.leases -= 1
                     if entry.leases == 0:
-                        self.budget.release(entry.charged)
-                        entry.charged = 0
-                        entry.idle_since = self._clock()
+                        self.budget.release(entry.workers)
                         if entry.detached:
                             reap.append(entry)
-                    self._collect_idle(reap)
             self._shutdown_entries(reap)
-
-    @contextmanager
-    def ephemeral(self, kind: str, workers: int):
-        """A fresh, private, budget-accounted pool, torn down on exit.
-
-        For nested fan-out (ensemble waves inside waves) where blocking
-        on an inner future inside a *shared* bounded pool would deadlock.
-        """
-        if kind not in POOL_KINDS:
-            raise ValueError(f"kind must be one of {POOL_KINDS}, "
-                             f"got {kind!r}")
-        granted = self.budget.grant(workers)
-        pool = None
-        try:
-            self.stats.ephemerals += 1
-            pool = self._make(kind, granted)
-            yield pool
-        finally:
-            # The refund must survive a constructor failure, not only a
-            # failed body — a leaked grant would clamp every later wave.
-            if pool is not None:
-                pool.shutdown(wait=True)
-            self.budget.release(granted)
-
-    # -- reaping -----------------------------------------------------------
-
-    def _collect_idle(self, out: list[_PoolEntry]) -> None:
-        """Move expired idle pools out of the table (caller holds the
-        lock and shuts them down after releasing it)."""
-        if self.idle_timeout < 0:
-            return
-        now = self._clock()
-        for key, entry in list(self._pools.items()):
-            if entry.leases == 0 and entry.idle_since is not None \
-                    and now - entry.idle_since >= self.idle_timeout:
-                out.append(self._pools.pop(key))
 
     def _shutdown_entries(self, entries: list[_PoolEntry]) -> None:
         for entry in entries:
-            self.stats.reaped += 1
-            # A reaped pool has no leases and no outstanding futures by
-            # construction, so the join can happen in the executor's own
-            # management thread — blocking the leasing hot path on
-            # another pool's worker teardown would serve nobody.
+            # A replaced broken pool has no leases left, so the join can
+            # happen in the executor's own management thread — blocking
+            # the leasing hot path on its teardown would serve nobody.
             entry.executor.shutdown(wait=False)
-
-    def reap_idle(self) -> int:
-        """Shut down every pool idle past the timeout; returns how many."""
-        reap: list[_PoolEntry] = []
-        with self._lock:
-            self._collect_idle(reap)
-        self._shutdown_entries(reap)
-        return len(reap)
 
     # -- introspection and lifecycle ---------------------------------------
 
     def active_pools(self) -> list[tuple[str, int]]:
-        """Keys of the pools currently alive (leased or idle)."""
+        """Keys of the pools currently alive (leased or not)."""
         with self._lock:
             return sorted(self._pools)
 
@@ -355,10 +230,9 @@ class ExecutorService:
         self._lock = threading.Lock()
         self._pools = {}
         self.budget = CoreBudget(self.budget.total)
-        self.stats = ServiceStats()
 
 
-#: The process-wide service every campaign and ensemble wave leases from.
+#: The process-wide service every campaign and the repair server lease from.
 EXECUTOR_SERVICE = ExecutorService()
 
 if hasattr(os, "register_at_fork"):

@@ -68,11 +68,6 @@ def _clone_child(item):
     return item
 
 
-def _walk_many(nodes):
-    for node in nodes:
-        yield from walk(node)
-
-
 def walk(node: "Node"):
     """Yield ``node`` and every AST descendant, pre-order.
 

@@ -140,8 +140,5 @@ class Token:
     text: str
     span: Span
 
-    def is_kw(self, *kinds: TokenKind) -> bool:
-        return self.kind in kinds
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r}@{self.span})"

@@ -108,11 +108,3 @@ def insert_before(root: ast.Node, target_id: int, new_stmt: ast.Stmt) -> bool:
     block, index = location
     block.stmts.insert(index, new_stmt)
     return True
-
-
-def enclosing_unsafe_blocks(root: ast.Node) -> list[ast.Block]:
-    """All ``unsafe { ... }`` blocks in the tree."""
-    return [
-        node for node in ast.walk(root)
-        if isinstance(node, ast.Block) and node.is_unsafe
-    ]

@@ -178,12 +178,6 @@ class Memory:
             self.fns_by_addr[addr] = fn_name
         return addr
 
-    def find_by_addr(self, addr: int) -> Allocation | None:
-        for alloc in self.allocations.values():
-            if alloc.live and alloc.base_addr <= addr < alloc.base_addr + max(alloc.size, 1):
-                return alloc
-        return None
-
     # ------------------------------------------------------------------
     # Access checking
 

@@ -814,10 +814,6 @@ def method_handle_join(interp, recv: VThreadHandle, args, generic_args, tid, spa
     return interp.join_thread(recv, tid, span)
 
 
-def method_mutex_lock(interp, place, args, generic_args, tid, span):
-    return interp.lock_mutex(place, tid, span)
-
-
 # ---------------------------------------------------------------------------
 # from_le_bytes / from_be_bytes
 

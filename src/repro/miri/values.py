@@ -73,10 +73,6 @@ class VPtr(Value):
     meta_len: int | None = None
 
     @property
-    def has_provenance(self) -> bool:
-        return self.alloc_id is not None and self.tag is not None
-
-    @property
     def is_null(self) -> bool:
         return self.addr == 0
 
@@ -196,8 +192,3 @@ class VUninit(Value):
 
     def __str__(self) -> str:
         return "<uninit>"
-
-
-def format_value(value: Value) -> str:
-    """Best-effort Display formatting for println!."""
-    return str(value)

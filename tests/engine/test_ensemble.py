@@ -170,8 +170,6 @@ class TestConstruction:
     def test_member_workers_validated(self):
         with pytest.raises(EngineConfigError, match="member_workers"):
             create_engine("portfolio?member_workers=0")
-        with pytest.raises(EngineConfigError, match="member_executor"):
-            create_engine("portfolio?member_workers=2&member_executor=gpu")
         assert create_engine("portfolio?member_workers=4") is not None
 
     def test_weights_only_for_vote_portfolios(self):
@@ -274,16 +272,24 @@ VOTE_MW = "portfolio?strategy=vote&member_workers=3"
 
 
 class TestConcurrentMembers:
-    def test_member_executors_byte_identical(self, dataset):
-        # The pool backend is pure wall-clock: serial, thread, and process
-        # consultation of the same waves returns identical outcomes.
-        for case in list(dataset)[:3]:
-            outcomes = [
-                create_engine(f"{VOTE_MW}&member_executor={backend}",
-                              seed=SEED).repair(case.source, case.difficulty)
-                for backend in ("serial", "thread", "process")
-            ]
-            assert outcomes[0] == outcomes[1] == outcomes[2]
+    def test_waves_build_no_pool(self, dataset, monkeypatch):
+        # Waves model concurrency on the virtual clock only: their
+        # members run in-process, so a wide wave never builds a pool.
+        from repro.engine import EXECUTOR_SERVICE
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("a member wave built a worker pool")
+
+        monkeypatch.setattr(EXECUTOR_SERVICE, "_make", boom)
+        case = next(c for c in dataset if c.category is UbKind.STACK_BORROW)
+        for spec in ("portfolio?strategy=vote&member_workers=4",
+                     "portfolio?strategy=best_score&member_workers=4",
+                     "switch?member_workers=4"):
+            outcome = create_engine(spec, seed=SEED).repair(
+                case.source, case.difficulty)
+            assert outcome.members
+            if spec.startswith("portfolio"):
+                assert [m["wave"] for m in outcome.members] == [0, 0, 0]
 
     def test_wave_charges_max_not_sum(self, dataset):
         case = list(dataset)[0]
@@ -428,11 +434,6 @@ class TestCampaignDeterminism:
             assert pooled.telemetry.to_dict() == \
                 serial_run.telemetry.to_dict()
 
-    def test_thread_pool_matches(self, dataset, serial_run):
-        threaded = Campaign(ENSEMBLES, dataset, seed=SEED, workers=4,
-                            shard_size=4, executor="thread").run()
-        assert threaded.by_label() == serial_run.by_label()
-
     def test_nested_ensemble_is_deterministic(self, small):
         spec = "portfolio?members=cascade+gpt-4&strategy=first_pass"
         serial = Campaign([spec], small, seed=SEED,
@@ -445,23 +446,19 @@ class TestCampaignDeterminism:
                        sort_keys=True)
 
     def test_member_workers_arm_executor_invariant(self, small):
-        # Concurrent consultation inside every campaign backend, nested
-        # ensembles included: serial == thread == process, byte for byte.
+        # Concurrent consultation inside both campaign backends, nested
+        # ensembles included: serial == process, byte for byte.
         specs = [VOTE_MW,
                  "portfolio?members=portfolio;strategy=vote;"
                  "member_workers=2+gpt-4&strategy=vote&member_workers=2"]
         serial = Campaign(specs, small, seed=SEED, shard_size=2,
                           executor="serial").run()
-        threaded = Campaign(specs, small, seed=SEED, workers=3,
-                            shard_size=2, executor="thread").run()
         pooled = Campaign(specs, small, seed=SEED, workers=3,
                           shard_size=2, executor="process").run()
-        reference = json.dumps([arm.to_dict() for arm in serial.arms],
-                               sort_keys=True)
-        for result in (threaded, pooled):
-            assert json.dumps([arm.to_dict() for arm in result.arms],
-                              sort_keys=True) == reference
-        assert threaded.telemetry.to_dict() == serial.telemetry.to_dict()
+        assert json.dumps([arm.to_dict() for arm in pooled.arms],
+                          sort_keys=True) == \
+            json.dumps([arm.to_dict() for arm in serial.arms],
+                       sort_keys=True)
         assert pooled.telemetry.to_dict() == serial.telemetry.to_dict()
 
     def test_member_wave_rides_telemetry(self, small):
@@ -541,9 +538,8 @@ class TestCaching:
 
     def test_warm_member_cache_parallel_consultation_executes_nothing(
             self, tmp_path, small, monkeypatch):
-        # Concurrent waves replay warm members parent-side: no task ever
-        # reaches the pool (inline and pooled paths share one execution
-        # function, so patching it proves both idle).
+        # Concurrent waves replay every warm member from the member
+        # cache: no member engine is ever built.
         from repro.engine import ensemble as ensemble_module
         member_dir = tmp_path / "members"
         spec = f"{VOTE_MW}&member_cache_dir={member_dir}"
@@ -552,7 +548,7 @@ class TestCaching:
         def boom(*_args, **_kwargs):
             raise AssertionError("a member executed during a warm replay")
 
-        monkeypatch.setattr(ensemble_module, "_execute_member_task", boom)
+        monkeypatch.setattr(ensemble_module, "create_engine", boom)
         warm = Campaign([spec], small, seed=SEED).run()
         assert [arm.reports for arm in warm.arms] == \
             [arm.reports for arm in cold.arms]

@@ -178,8 +178,8 @@ class TestCampaignResume:
         first.journal.close()
         # Same experiment, different workers/shards/executor: the
         # fingerprint deliberately permits this.
-        resumed = self._campaign(dataset, journal=str(jdir), workers=4,
-                                 shard_size=2, executor="process")
+        resumed = self._campaign(dataset, journal=str(jdir), workers=1,
+                                 shard_size=2, executor="serial")
         result = resumed.run()
         assert resumed.journal.appended == 0
         resumed.journal.close()

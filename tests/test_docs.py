@@ -134,6 +134,16 @@ class TestCheckerCatchesRot:
         assert check_docs.check_engine_specs(
             "`rustbrain?kb=off` and `llm_only?batched=on` build.") == []
 
+    def test_unknown_environment_variable(self, tmp_path, cli_options):
+        doc = tmp_path / "doc.md"
+        doc.write_text("Set `$REPRO_NO_SUCH_KNOB=1`; `$REPRO_CACHE_DIR` "
+                       "and REPRO_FAULTS are read by the code.\n",
+                       encoding="utf-8")
+        errors = check_docs.check_file(doc, cli_options)
+        assert len(errors) == 1
+        assert "REPRO_NO_SUCH_KNOB" in errors[0]
+        assert check_docs.check_env_vars("`$REPRO_CORE_BUDGET`") == []
+
     def test_engine_flag_values_in_shell_fences(self, tmp_path, cli_options):
         doc = tmp_path / "doc.md"
         doc.write_text(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs checker: keep README/DESIGN/docs code blocks and links from rotting.
 
-Six mechanical checks over every tracked markdown file:
+Seven mechanical checks over every tracked markdown file:
 
 1. **Python blocks compile.**  Every ```` ```python ```` fence must be
    valid syntax (doctest-style blocks are converted via
@@ -33,6 +33,9 @@ Six mechanical checks over every tracked markdown file:
    ``--engine`` value in a ```` ```bash ```` fence — must pass
    ``create_engine``, so a removed config key cannot linger in an
    example.
+7. **Documented environment variables exist.**  Every ``REPRO_*`` name
+   must appear as a string literal somewhere under ``src/repro/`` — the
+   code reads it — so a removed knob cannot linger in the docs.
 
 Run:  python tools/check_docs.py            # checks the default doc set
       python tools/check_docs.py FILE...    # checks specific files
@@ -46,6 +49,7 @@ import doctest
 import pathlib
 import re
 import sys
+from functools import lru_cache
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -59,6 +63,8 @@ _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 _SCHEMA_ID_RE = re.compile(r"\brepro\.([a-z][\w-]*)/(\d+)")
 _INLINE_CODE_RE = re.compile(r"`([^`\s]+)`")
 _ENGINE_FLAG_RE = re.compile(r"--engine[ =]+([\"']?)([^\s\"']+)\1")
+_ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+")
+_ENV_LITERAL_RE = re.compile(r"[\"'](REPRO_[A-Z_]+)[\"']")
 _SHELL_LANGUAGES = ("bash", "sh", "shell", "console")
 
 
@@ -314,6 +320,24 @@ def check_engine_specs(text: str) -> list[str]:
     return errors
 
 
+@lru_cache(maxsize=1)
+def _code_env_vars() -> frozenset[str]:
+    """Every ``REPRO_*`` name a string literal under ``src/repro/`` spells."""
+    names: set[str] = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        names.update(_ENV_LITERAL_RE.findall(text))
+    return frozenset(names)
+
+
+def check_env_vars(text: str) -> list[str]:
+    """Every documented ``REPRO_*`` environment variable must exist in
+    the code."""
+    return [f"environment variable {name} is not read under src/repro/"
+            for name in sorted(set(_ENV_VAR_RE.findall(text))
+                               - _code_env_vars())]
+
+
 def check_links(path: pathlib.Path, text: str):
     """Every relative markdown link must resolve from the file's parent."""
     errors = []
@@ -335,6 +359,7 @@ def check_file(path: pathlib.Path,
     errors = [f"{path}: {error}" for error in check_links(path, text)]
     errors.extend(f"{path}: {error}" for error in check_schema_ids(text))
     errors.extend(f"{path}: {error}" for error in check_engine_specs(text))
+    errors.extend(f"{path}: {error}" for error in check_env_vars(text))
     for language, content, line in iter_code_blocks(text):
         if language == "python":
             error = check_python_block(content)
