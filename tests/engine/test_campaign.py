@@ -79,6 +79,23 @@ class TestDeterminism:
                             shard_size=4, executor="serial").run()
         assert explicit.by_label() == serial_run.by_label()
 
+    def test_default_executor_runs_one_worker_in_process(self, dataset,
+                                                         monkeypatch):
+        # "process" is the default executor, and at one worker it leases
+        # no pool: the run stays in-process and equals the serial one.
+        from repro.engine import EXECUTOR_SERVICE
+        small = Dataset(tuple(list(dataset)[:4]))
+        reference = Campaign(ENGINES, small, seed=SEED,
+                             executor="serial").run()
+
+        def boom_lease(*_args, **_kwargs):
+            raise AssertionError("a one-worker campaign leased a pool")
+
+        monkeypatch.setattr(EXECUTOR_SERVICE, "lease", boom_lease)
+        campaign = Campaign(ENGINES, small, seed=SEED)
+        assert campaign.executor == "process"
+        assert campaign.run().by_label() == reference.by_label()
+
     def test_shared_pooled_arms_equal_serial_arms(self, dataset):
         # Arm-level process pooling: each arm keeps its exact stateful
         # semantics, so the pooled sweep reproduces the serial one.

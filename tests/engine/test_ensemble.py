@@ -172,6 +172,14 @@ class TestConstruction:
             create_engine("portfolio?member_workers=0")
         assert create_engine("portfolio?member_workers=4") is not None
 
+    def test_member_executor_is_an_unknown_option(self):
+        # Wave members always run in-process; a spec that still picks a
+        # member pool backend fails fast instead of being ignored.
+        with pytest.raises(EngineConfigError,
+                           match="unknown option 'member_executor'"):
+            create_engine("portfolio?member_workers=2"
+                          "&member_executor=process")
+
     def test_weights_only_for_vote_portfolios(self):
         for spec in ("portfolio?strategy=best_score&weights=1,1,1",
                      "portfolio?weights=1,1,1"):  # default first_pass
@@ -290,6 +298,44 @@ class TestConcurrentMembers:
             assert outcome.members
             if spec.startswith("portfolio"):
                 assert [m["wave"] for m in outcome.members] == [0, 0, 0]
+
+    def test_wave_members_run_in_declaration_order(self, dataset,
+                                                   monkeypatch):
+        import repro.engine.ensemble as ensemble_module
+        built = []
+        real_create_engine = ensemble_module.create_engine
+
+        def recording(spec, **kwargs):
+            built.append((spec, kwargs["model"], kwargs["seed"]))
+            return real_create_engine(spec, **kwargs)
+
+        engine = create_engine(VOTE_MW, seed=SEED)
+        monkeypatch.setattr(ensemble_module, "create_engine", recording)
+        case = list(dataset)[0]
+        outcome = engine.repair(case.source, case.difficulty)
+        assert built == [(member.spec.to_string(), member.model,
+                          member_seed(SEED, 0, index))
+                         for index, member in enumerate(engine.members)]
+        assert [m["index"] for m in outcome.members] == [0, 1, 2]
+        assert [m["wave"] for m in outcome.members] == [0, 0, 0]
+
+    def test_wave_members_run_under_the_installed_fault_plan(self, dataset):
+        # Members run in this process, so a plan installed after start-up
+        # reaches every member of a wide wave, and LLM retries replay the
+        # same seed stream: the faulted repair is byte-identical.
+        from repro.engine.faults import FAULT_STATS, install
+        case = list(dataset)[0]
+        clean = create_engine(VOTE_MW, seed=SEED).repair(case.source,
+                                                         case.difficulty)
+        FAULT_STATS.reset()
+        previous = install("llm:rate=0.35,seed=13")
+        try:
+            faulted = create_engine(VOTE_MW, seed=SEED).repair(
+                case.source, case.difficulty)
+        finally:
+            install(previous)
+        assert FAULT_STATS.snapshot()["total"] > 0
+        assert faulted == clean
 
     def test_wave_charges_max_not_sum(self, dataset):
         case = list(dataset)[0]

@@ -34,6 +34,32 @@ class TestCoreBudget:
     def test_total_has_a_floor_of_one(self):
         assert CoreBudget(total=0).total == 1
 
+    def test_charge_records_past_the_total(self):
+        # Charges are unclamped: the budget reports the workers that
+        # exist, even when they overshoot its total.
+        budget = CoreBudget(total=2)
+        assert budget.charge(3) == 3
+        assert budget.in_use == 3
+        assert budget.available == 0
+        budget.release(3)
+        assert budget.available == 2
+
+    def test_invalid_charge_rejected(self):
+        budget = CoreBudget(total=2)
+        with pytest.raises(ValueError):
+            budget.charge(0)
+        assert budget.in_use == 0
+
+    def test_total_comes_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CORE_BUDGET", "3")
+        assert CoreBudget().total == 3
+
+    @pytest.mark.parametrize("raw", ["0", "many", " "])
+    def test_unusable_environment_total_falls_back_to_the_cpu_count(
+            self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_CORE_BUDGET", raw)
+        assert CoreBudget().total == (os.cpu_count() or 1)
+
 
 class TestLeasing:
     def test_lease_runs_work_and_reuses_the_pool(self, service):
@@ -48,6 +74,37 @@ class TestLeasing:
             with service.lease("gpu", 2):
                 pass
         assert "gpu" not in POOL_KINDS
+
+    def test_bad_width_rejected(self, service):
+        with pytest.raises(ValueError, match="workers"):
+            with service.lease("thread", 0):
+                pass
+        assert service.active_pools() == []
+        assert service.budget.in_use == 0
+
+    def test_constructor_failure_charges_nothing(self, service,
+                                                 monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise OSError("cannot spawn")
+
+        monkeypatch.setattr(service, "_make", boom)
+        with pytest.raises(OSError):
+            with service.lease("thread", 2):
+                pass
+        assert service.budget.in_use == 0
+        assert service.active_pools() == []
+        monkeypatch.undo()
+        with service.lease("thread", 2) as pool:
+            assert pool.submit(_square, 5).result() == 25
+
+    def test_error_inside_a_lease_refunds_and_keeps_the_pool(self, service):
+        with pytest.raises(KeyError):
+            with service.lease("thread", 2) as pool:
+                first = pool
+                raise KeyError("the caller failed")
+        assert service.budget.in_use == 0
+        with service.lease("thread", 2) as pool:
+            assert pool is first
 
     def test_lease_counts_against_the_budget(self, service):
         with service.lease("thread", 3):
@@ -177,6 +234,17 @@ class TestLifecycle:
             pass
         service.shutdown()
         assert service.active_pools() == []
+
+    def test_released_pools_live_until_shutdown(self, service):
+        # Nothing reaps an idle pool: once released it stays in the table
+        # and keeps serving until shutdown() tears it down.
+        with service.lease("thread", 2) as pool:
+            kept = pool
+        assert service.active_pools() == [("thread", 2)]
+        assert kept.submit(_square, 8).result() == 64
+        service.shutdown()
+        with pytest.raises(RuntimeError):
+            kept.submit(_square, 8)
 
     def test_fork_reset_starts_empty(self, service):
         with service.lease("thread", 1) as pool:
