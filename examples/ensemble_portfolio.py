@@ -43,8 +43,7 @@ class MemberTrace(CampaignObserver):
 def main() -> None:
     dataset = load_dataset().subset(CATEGORIES)
     campaign = Campaign(STANDALONE + ENSEMBLES, dataset, seed=3,
-                        executor="process", workers=4,
-                        observers=[MemberTrace()])
+                        workers=4, observers=[MemberTrace()])
     result = campaign.run()
 
     rows = []

@@ -8,8 +8,8 @@ API, then shows the execution layer's two scaling tools:
    without the knowledge base), each a stateful engine walking the cases
    in order so the self-learning feedback memory visibly kicks in on the
    later, similar cases (the ``feedback`` marks in the assist column).
-   ``workers=2`` with the process executor runs the two whole arms in
-   parallel without touching their serial in-arm semantics.
+   ``workers=2`` runs the two whole arms in parallel processes without
+   touching their serial in-arm semantics.
 2. **Per-case isolation + result cache** — a process-pool sweep with a
    content-addressed cache: the first run executes every case, the rerun
    is answered entirely from disk (watch the hit/miss line), and both
@@ -36,8 +36,7 @@ def main() -> None:
     dataset = load_dataset().subset(CATEGORIES)
     # Stateful arms; the process pool parallelises ACROSS the two arms.
     campaign = Campaign(ENGINES, dataset, seed=13, isolation="shared",
-                        workers=2, executor="process",
-                        observers=[ProgressPrinter()])
+                        workers=2, observers=[ProgressPrinter()])
     result = campaign.run()
 
     for arm in result.arms:
@@ -66,7 +65,7 @@ def main() -> None:
         cache = ResultCache(cache_dir)
         for attempt in ("cold", "warm"):
             run = Campaign(ENGINES, dataset, seed=13, workers=4,
-                           executor="process", cache=cache).run()
+                           cache=cache).run()
             hits, misses = run.telemetry.cache_counts()
             print(f"{attempt} per-case sweep: {hits} cache hits, "
                   f"{misses} misses")

@@ -322,7 +322,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                             workers=args.workers,
                             shard_size=args.shard_size,
                             isolation=args.isolation,
-                            executor=args.executor,
                             cache_dir=cache_dir, observers=observers,
                             journal=journal)
     except (SpecError, UnknownEngineError, ValueError, OSError) as exc:
@@ -661,19 +660,16 @@ def build_parser() -> argparse.ArgumentParser:
                             default=_ARG_DEFAULTS["seed"])
     p_campaign.add_argument("--temperature", type=float,
                             default=_ARG_DEFAULTS["temperature"])
-    p_campaign.add_argument("--workers", type=int, default=1)
+    p_campaign.add_argument("--workers", type=int, default=1,
+                            help="1 (default) runs in-process; more shard "
+                                 "cases across a process pool (results are "
+                                 "byte-identical at any count)")
     p_campaign.add_argument("--shard-size", type=int, default=8)
     p_campaign.add_argument("--isolation", default="per_case",
                             choices=("per_case", "shared"),
                             help="per_case: fresh engine + derived seed per "
                                  "case (parallel-safe); shared: one stateful "
                                  "engine per arm, serial within the arm")
-    p_campaign.add_argument("--executor", default="process",
-                            choices=("serial", "process"),
-                            help="'process' (default) shards cases across a "
-                                 "process pool when --workers > 1; 'serial' "
-                                 "is the in-process reference (results are "
-                                 "byte-identical across backends)")
     p_campaign.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="consult/populate a content-addressed "
                                  "result cache (default: $REPRO_CACHE_DIR "

@@ -439,8 +439,6 @@ class KbEntry:
     category: UbKind
     vector: np.ndarray
     snippet: str
-    #: ``np.linalg.norm(vector)``, taken once when the entry is built.
-    norm: float
 
 
 @lru_cache(maxsize=8)
@@ -462,9 +460,7 @@ def _default_entries(coverage: float, seed: int,
     for rule, category, snippet in exemplars:
         program = parse_program(snippet)
         target = prune_program(program) if use_pruning else program
-        vector = vectorize(target)
-        entries.append(KbEntry(rule, category, vector, snippet,
-                               np.linalg.norm(vector)))
+        entries.append(KbEntry(rule, category, vectorize(target), snippet))
     return tuple(entries)
 
 
@@ -492,14 +488,8 @@ class KnowledgeBase:
     def query(self, vector: np.ndarray, k: int = 3,
               min_similarity: float = 0.25) -> list[tuple[KbEntry, float]]:
         self.queries += 1
-        # cosine() per entry, with every norm taken once: the entries'
-        # at build time, the query's here.  Same arithmetic, same bits.
-        norm = np.linalg.norm(vector)
-        scored = []
-        for entry in self.entries:
-            denom = norm * entry.norm
-            scored.append((entry, float(np.dot(vector, entry.vector) / denom)
-                           if denom != 0 else 0.0))
+        scored = [(entry, cosine(vector, entry.vector))
+                  for entry in self.entries]
         scored.sort(key=lambda pair: pair[1], reverse=True)
         return [(entry, score) for entry, score in scored[:k]
                 if score >= min_similarity]

@@ -8,15 +8,14 @@ outcome of a case depends only on ``(spec, model, campaign seed, case
 index)`` — never on scheduling — and a pooled run is byte-identical to a
 serial one at any worker count.
 
-Two execution backends share that invariant (``executor=``):
-
-* ``"serial"`` — in-process, no pool; the reference semantics.
-* ``"process"`` (default) — in-process at ``workers=1``; with more
-  workers, a process pool over picklable shard tasks: real multi-core
-  parallelism for the parse → interpret → repair pipeline.  Workers
-  return plain :class:`~repro.engine.types.RepairReport` lists; all
-  telemetry is emitted in the parent in deterministic (submission)
-  order.
+``workers`` alone picks the path.  One worker runs in-process: the
+reference semantics.  More workers drain the shards through a process
+pool over picklable shard tasks: real multi-core parallelism for the
+parse → interpret → repair pipeline.  Workers return plain
+:class:`~repro.engine.types.RepairReport` lists; all telemetry is emitted
+in the parent in deterministic (submission) order.  ``executor=`` picks
+no path: it is validated (``"serial"`` or the default ``"process"``;
+``"serial"`` insists on one worker) and recorded as ``config.executor``.
 
 Process pools are *leased* from the shared
 :data:`~repro.engine.pool.EXECUTOR_SERVICE` (see DESIGN.md, "Execution
@@ -427,7 +426,7 @@ class Campaign:
         """Parent-side cache/journal consult: split shards into hits/misses.
 
         ``on_cache`` telemetry fires here, in dataset order, identically
-        for every executor backend.  The journal is consulted *behind*
+        at any worker count.  The journal is consulted *behind*
         the cache and emits no telemetry of its own: a journal replay
         must leave the event stream exactly as the original (cacheless)
         run produced it, or a resumed ``campaign.json`` would differ.

@@ -20,7 +20,7 @@ File format (schema ``repro.journal/1``) — JSON Lines:
   The fingerprint digests everything that determines case outcomes —
   engine specs, model, seed, temperature, isolation, the cache epoch,
   and the dataset fingerprint — but *not* worker count, shard size, or
-  executor backend: a campaign may legitimately resume at a different
+  ``executor``: a campaign may legitimately resume at a different
   parallelism.  A mismatch refuses to resume rather than silently
   replaying results from a different experiment.
 
@@ -62,9 +62,9 @@ class JournalError(ValueError):
 class CampaignJournal:
     """Append-only store of completed campaign results, keyed by cache keys.
 
-    Thread-safe for appends (thread-pool campaigns merge shards from the
-    collector thread, but observers may append concurrently); loading
-    happens once, in :meth:`open`, before any worker starts.
+    Thread-safe for appends (observers may append concurrently, and
+    retry events arrive on whichever thread retried); loading happens
+    once, in :meth:`open`, before any worker starts.
     """
 
     def __init__(self, root: str | os.PathLike,

@@ -157,25 +157,6 @@ class TestKnowledgeBase:
             raw_hits += any(h in viable for h in kb_raw.hint_rules(v_raw, 3))
         assert pruned_hits > raw_hits
 
-    @pytest.mark.parametrize("use_pruning", [True, False])
-    def test_query_scores_equal_cosine_exactly(self, use_pruning):
-        # query() takes every norm once instead of per cosine() call; the
-        # scores must stay bit-identical, or KB hints (and reports) move.
-        from repro.core.view import program_view
-        kb = KnowledgeBase.default(use_pruning=use_pruning)
-        for case in load_dataset():
-            vector = program_view(case.source).vector
-            scores = {entry.rule: score for entry, score in
-                      kb.query(vector, k=len(kb),
-                               min_similarity=float("-inf"))}
-            assert len(scores) == len(kb)
-            assert scores == {entry.rule: cosine(vector, entry.vector)
-                              for entry in kb.entries}
-        assert cosine(np.zeros(VECTOR_DIM), kb.entries[0].vector) == 0.0
-        assert all(score == 0.0 for _entry, score in
-                   kb.query(np.zeros(VECTOR_DIM), k=len(kb),
-                            min_similarity=float("-inf")))
-
     def test_query_counts_tracked(self):
         kb = KnowledgeBase.default()
         vector = vectorize(parse_program("fn main() { }"))

@@ -256,7 +256,7 @@ class TestKeying:
 
 class TestCampaignIntegration:
     @pytest.mark.parametrize("executor,workers", [
-        ("serial", 1), ("process", 1), ("process", 4),
+        ("serial", 1), ("process", 4),
     ])
     def test_warm_rerun_is_pure_replay(self, tmp_path, dataset, executor,
                                        workers):

@@ -25,19 +25,13 @@ def dataset():
 @pytest.fixture(scope="module")
 def serial_run(dataset):
     return Campaign(ENGINES, dataset, seed=SEED, workers=1,
-                    shard_size=4).run()
+                    shard_size=4, executor="serial").run()
 
 
 @pytest.fixture(scope="module")
 def parallel_run(dataset):
     return Campaign(ENGINES, dataset, seed=SEED, workers=4,
                     shard_size=4).run()
-
-
-@pytest.fixture(scope="module")
-def process_run(dataset):
-    return Campaign(ENGINES, dataset, seed=SEED, workers=4,
-                    shard_size=4, executor="process").run()
 
 
 class TestDeterminism:
@@ -59,42 +53,34 @@ class TestDeterminism:
                          shard_size=4).run()
         assert again.by_label() == parallel_run.by_label()
 
-    def test_process_pool_equals_serial_json(self, serial_run, process_run):
+    def test_process_pool_equals_serial_json(self, serial_run, parallel_run):
         # The acceptance bar for the process backend: a 4-worker process
         # pool is byte-identical to a serial run, arms and telemetry both.
         serial = serial_run.to_dict()
-        pooled = process_run.to_dict()
+        pooled = parallel_run.to_dict()
         assert json.dumps(serial["arms"], sort_keys=True) == \
             json.dumps(pooled["arms"], sort_keys=True)
         assert serial["telemetry"] == pooled["telemetry"]
 
     def test_process_reports_stay_in_dataset_order(self, dataset,
-                                                   process_run):
+                                                   parallel_run):
         names = [case.name for case in dataset]
-        for arm in process_run.arms:
+        for arm in parallel_run.arms:
             assert [report.case for report in arm.reports] == names
 
-    def test_serial_executor_matches_default(self, dataset, serial_run):
-        explicit = Campaign(ENGINES, dataset, seed=SEED, workers=1,
-                            shard_size=4, executor="serial").run()
-        assert explicit.by_label() == serial_run.by_label()
-
-    def test_default_executor_runs_one_worker_in_process(self, dataset,
-                                                         monkeypatch):
-        # "process" is the default executor, and at one worker it leases
-        # no pool: the run stays in-process and equals the serial one.
+    def test_serial_executor_matches_default(self, dataset, serial_run,
+                                             monkeypatch):
+        # The default executor at one worker leases no pool: the run stays
+        # in-process and equals the explicit serial one.
         from repro.engine import EXECUTOR_SERVICE
-        small = Dataset(tuple(list(dataset)[:4]))
-        reference = Campaign(ENGINES, small, seed=SEED,
-                             executor="serial").run()
 
         def boom_lease(*_args, **_kwargs):
             raise AssertionError("a one-worker campaign leased a pool")
 
         monkeypatch.setattr(EXECUTOR_SERVICE, "lease", boom_lease)
-        campaign = Campaign(ENGINES, small, seed=SEED)
-        assert campaign.executor == "process"
-        assert campaign.run().by_label() == reference.by_label()
+        default = Campaign(ENGINES, dataset, seed=SEED, workers=1,
+                           shard_size=4).run()
+        assert default.by_label() == serial_run.by_label()
 
     def test_shared_pooled_arms_equal_serial_arms(self, dataset):
         # Arm-level process pooling: each arm keeps its exact stateful

@@ -492,8 +492,8 @@ class TestCampaignDeterminism:
                        sort_keys=True)
 
     def test_member_workers_arm_executor_invariant(self, small):
-        # Concurrent consultation inside both campaign backends, nested
-        # ensembles included: serial == process, byte for byte.
+        # Concurrent consultation in an in-process and a pooled campaign,
+        # nested ensembles included: one worker == three, byte for byte.
         specs = [VOTE_MW,
                  "portfolio?members=portfolio;strategy=vote;"
                  "member_workers=2+gpt-4&strategy=vote&member_workers=2"]

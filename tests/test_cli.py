@@ -165,26 +165,6 @@ class TestCampaign:
         assert payload["config"]["workers"] == 2
         assert len(payload["arms"]) == 2
 
-    def test_executor_defaults_to_process(self):
-        args = build_parser().parse_args(["campaign", "--engine",
-                                          "llm_only"])
-        assert args.executor == "process"
-
-    def test_thread_executor_is_not_a_choice(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["campaign", "--engine", "llm_only",
-                                       "--executor", "thread"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice" in err and "thread" in err
-        assert "serial" in err and "process" in err
-
-    def test_serial_executor_with_workers_exit_2(self, capsys):
-        assert main(["campaign", "--engine", "llm_only",
-                     "--category", "uninit", "--quiet",
-                     "--executor", "serial", "--workers", "2"]) == 2
-        assert "serial executor runs in-process" in capsys.readouterr().err
-
     def test_unknown_engine_exit_2(self, capsys):
         assert main(["campaign", "--engine", "quantum", "--quiet"]) == 2
         assert "unknown engine" in capsys.readouterr().err

@@ -92,7 +92,7 @@ class TestCheckerCatchesRot:
 
     def test_continuation_lines_joined(self, cli_options):
         block = ("python -m repro.cli campaign \\\n"
-                 "    --engine rustbrain --executor process")
+                 "    --engine rustbrain --workers 4")
         assert check_docs.check_bash_block(block, cli_options) == []
 
     def test_unknown_subcommand(self, cli_options):
