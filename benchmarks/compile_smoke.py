@@ -16,10 +16,11 @@ converts non-compiling sources into checks-clean, UB-free programs:
   byte-identical to the serial reference;
 * **corpus health** — the compile generator is byte-deterministic and
   the hand-written per-code corpus re-validates 100%;
-* **cache-epoch discipline** — ``compile_fix`` is a *new* engine family;
-  no existing engine's behaviour changed, so ``CACHE_EPOCH`` must still
-  be {epoch} (bumping it here would needlessly invalidate every cached
-  campaign).
+* **cache-epoch discipline** — ``CACHE_EPOCH`` must be {epoch}, the
+  epoch of the last change to engine behaviour (an unterminated block
+  comment became a lex error); a change that moves engine behaviour
+  bumps the epoch and this pin together, and a change that does not
+  leaves both alone (a needless bump invalidates every cached campaign).
 
 Two tiers share the checks: ``--quick`` (CI per-PR: {quick_n} generated
 cases on top of the hand-written set) and the default full tier
@@ -46,7 +47,7 @@ from repro.engine.cache import CACHE_EPOCH
 SEED = 13
 QUICK_N = 12
 FULL_N = 48
-EXPECTED_EPOCH = 5
+EXPECTED_EPOCH = 6
 __doc__ = __doc__.format(quick_n=QUICK_N, full_n=FULL_N,
                          epoch=EXPECTED_EPOCH)
 

@@ -11,9 +11,8 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ..baselines.human import HUMAN_TIMES, HumanExpert
+from ..baselines.human import HumanExpert
 from ..corpus.dataset import Dataset, load_dataset
-from ..core.pipeline import RustBrain, RustBrainConfig
 from ..core.evaluate import semantically_acceptable
 from ..core.solution import decompose
 from ..engine.cache import ResultCache

@@ -325,11 +325,11 @@ class Borrowck:
         for value in vars(node).values():
             if isinstance(value, ast.Expr):
                 self._visit_expr(value)
-            elif isinstance(value, (list, tuple)):
+            elif type(value) is list or type(value) is tuple:
                 for entry in value:
                     if isinstance(entry, ast.Expr):
                         self._visit_expr(entry)
-                    elif isinstance(entry, tuple):
+                    elif type(entry) is tuple:
                         for sub in entry:
                             if isinstance(sub, ast.Expr):
                                 self._visit_expr(sub)

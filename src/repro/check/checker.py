@@ -18,7 +18,7 @@ from ..lang.span import Span
 from ..lang.types import LayoutError, StructLayout
 from .borrowck import Borrowck
 from .diagnostics import CheckReport, Diagnostic, sort_diagnostics
-from .names import ItemTables, resolve_names
+from .names import resolve_names
 from .typeck import Typeck
 
 

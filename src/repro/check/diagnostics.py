@@ -24,7 +24,7 @@ shipped over the service boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..lang.span import Span, render_snippet
 

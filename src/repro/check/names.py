@@ -261,11 +261,11 @@ class NameResolver:
         for value in vars(node).values():
             if isinstance(value, ast.Expr):
                 self.visit(value)
-            elif isinstance(value, (list, tuple)):
+            elif type(value) is list or type(value) is tuple:
                 for entry in value:
                     if isinstance(entry, ast.Expr):
                         self.visit(entry)
-                    elif isinstance(entry, tuple):
+                    elif type(entry) is tuple:
                         for sub in entry:
                             if isinstance(sub, ast.Expr):
                                 self.visit(sub)

@@ -14,7 +14,7 @@ detector's per-iteration error counts N = {n0, n1, ...}. Three policies:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...lang import ast_nodes as ast
 

@@ -10,7 +10,7 @@ dependency on the knowledge base* (the red cells of Table I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,11 +36,11 @@ from ..llm.oracle import rank_candidate_rules
 from ..miri import detect_case
 from .agents.reasoning import AbstractReasoningAgent
 from .agents.rollback import RollbackPolicy
-from .features import CaseFeatures, analyse
+from .features import analyse
 from .feedback import FeedbackMemory
 from .knowledge import KnowledgeBase
-from .slow import SlowThinking, SolutionOutcome
-from .solution import Solution, decompose
+from .slow import SlowThinking
+from .solution import decompose
 from .view import program_view
 
 

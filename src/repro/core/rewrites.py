@@ -39,11 +39,9 @@ from ..lang import ast_nodes as ast
 from ..lang import types as ty
 from ..lang.ast_nodes import clone, walk
 from ..lang.parser import parse_expr, parse_program
-from ..lang.printer import print_expr, print_program
+from ..lang.printer import print_expr
 from ..lang.visitor import (
-    collect,
     containing_block,
-    find_first,
     insert_before,
     remove_stmt,
     replace_node,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..lang import ast_nodes as ast
 from ..llm.client import LLMClient
-from .agents.base import AgentResult, FixAgent
+from .agents.base import FixAgent
 from .agents.rollback import RollbackAgent, RollbackPolicy
 from .solution import Solution
 

@@ -8,7 +8,7 @@ paper distributes steps across its three error-fixing agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rewrites import FixKind, REGISTRY
 

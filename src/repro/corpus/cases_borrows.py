@@ -1,7 +1,7 @@
 """Dataset cases: stack_borrow, both_borrow, provenance."""
 
 from ..miri.errors import UbKind
-from .case import Strategy, UbCase, make_cases
+from .case import Strategy, make_cases
 
 # ---------------------------------------------------------------------------
 # stack_borrow — raw pointers invalidated per stacked borrows

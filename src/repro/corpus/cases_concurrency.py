@@ -1,7 +1,7 @@
 """Dataset cases: datarace, concurrency."""
 
 from ..miri.errors import UbKind
-from .case import Strategy, UbCase, make_cases
+from .case import Strategy, make_cases
 
 # ---------------------------------------------------------------------------
 # datarace — unsynchronized cross-thread accesses

@@ -1,7 +1,7 @@
 """Dataset cases: func_call, func_pointer, tailcall."""
 
 from ..miri.errors import UbKind
-from .case import Strategy, UbCase, make_cases
+from .case import Strategy, make_cases
 
 # ---------------------------------------------------------------------------
 # func_call — calling with the wrong argument list

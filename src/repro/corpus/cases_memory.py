@@ -1,7 +1,7 @@
 """Dataset cases: alloc, dangling_pointer, uninit."""
 
 from ..miri.errors import UbKind
-from .case import Strategy, UbCase, make_cases
+from .case import Strategy, make_cases
 
 # ---------------------------------------------------------------------------
 # alloc — allocator misuse: double free, layout mismatch, zero-size alloc

@@ -1,7 +1,7 @@
 """Dataset cases: validity, unaligned, panic."""
 
 from ..miri.errors import UbKind
-from .case import Strategy, UbCase, make_cases
+from .case import Strategy, make_cases
 
 # ---------------------------------------------------------------------------
 # validity — constructing invalid values

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..miri.errors import UbKind
-from .case import Strategy, UbCase
+from .case import UbCase
 from . import cases_borrows, cases_compile, cases_concurrency, \
     cases_functions, cases_memory, cases_values
 

@@ -70,7 +70,7 @@ from ..miri import detect_ub
 from ..miri.errors import UbKind
 from ..miri.fingerprint import renameable_names
 from .case import Strategy, UbCase, distractor_block, inject_preamble
-from .dataset import Dataset, load_compile_dataset, load_dataset
+from .dataset import load_compile_dataset, load_dataset
 
 #: Bump when generation rules change enough that the same seed produces a
 #: different corpus; serialized into every manifest.

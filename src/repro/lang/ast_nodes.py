@@ -73,9 +73,10 @@ def walk(node: "Node"):
 
     Handles plain child nodes, lists of nodes, and lists of tuples that
     contain nodes (e.g. ``StructLit.fields`` is ``list[tuple[str, Expr]]``).
-    Iterative with an explicit stack: every rewrite probe, pruning pass,
-    and fingerprint traverses with this, and nested ``yield from`` frames
-    dominated it.
+    Containers are tested by exact type, so a node's :class:`Span` (a
+    NamedTuple) is not iterated.  Iterative with an explicit stack: every
+    rewrite probe, pruning pass, and fingerprint traverses with this, and
+    nested ``yield from`` frames dominated it.
     """
     stack = [node]
     pop = stack.pop
@@ -87,11 +88,11 @@ def walk(node: "Node"):
         for value in vars(current).values():
             if isinstance(value, Node):
                 append(value)
-            elif isinstance(value, (list, tuple)):
+            elif type(value) is list or type(value) is tuple:
                 for item in value:
                     if isinstance(item, Node):
                         append(item)
-                    elif isinstance(item, tuple):
+                    elif type(item) is tuple:
                         for sub in item:
                             if isinstance(sub, Node):
                                 append(sub)
@@ -410,7 +411,7 @@ def parent_map(root: Node) -> dict[int, Node]:
             children = []
             if isinstance(value, Node):
                 children = [value]
-            elif isinstance(value, (list, tuple)):
+            elif type(value) is list or type(value) is tuple:
                 children = [v for v in value if isinstance(v, Node)]
             for child in children:
                 parents[child.node_id] = node

@@ -17,8 +17,6 @@ from .lexer import tokenize
 from .span import Span
 from .tokens import Token, TokenKind as T
 from .types import (
-    BOOL,
-    CHAR,
     INFER,
     PRIMITIVES,
     Ty,
@@ -83,7 +81,15 @@ _MACRO_NAMES = {
 
 class Parser:
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
+        tokens = tokenize(source)
+        # Pad with two more references to the EOF token, one per position
+        # of the largest lookahead (``_peek(2)``).  The cursor never moves
+        # past the first EOF, so ``tokens[pos + offset]`` is always in
+        # range and no peek needs clamping.
+        eof = tokens[-1]
+        tokens.append(eof)
+        tokens.append(eof)
+        self.tokens = tokens
         self.pos = 0
         # When > 0, struct literals are not allowed (if/while/for headers).
         self._no_struct_lit = 0
@@ -92,11 +98,10 @@ class Parser:
     # Token helpers
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def _at(self, *kinds: T) -> bool:
-        return self._peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -105,16 +110,21 @@ class Parser:
         return tok
 
     def _expect(self, kind: T, what: str | None = None) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not kind:
             expected = what or kind.value
             raise ParseError(f"expected {expected!r}, found {tok.text!r}", tok.span)
-        return self._advance()
+        if kind is not T.EOF:
+            self.pos += 1
+        return tok
 
     def _eat(self, kind: T) -> Token | None:
-        if self._at(kind):
-            return self._advance()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind is not kind:
+            return None
+        if kind is not T.EOF:
+            self.pos += 1
+        return tok
 
     def _expect_gt(self) -> None:
         """Consume a ``>``; splits ``>>`` / ``>=`` so nested generics parse."""

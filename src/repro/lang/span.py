@@ -7,12 +7,19 @@ Miri diagnostics reference ``file.rs:line:col``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range ``[start, end)`` in the original source text."""
+class Span(NamedTuple):
+    """Half-open byte range ``[start, end)`` in the original source text.
+
+    An immutable NamedTuple: assigning a field raises ``AttributeError``.
+    Spans with equal fields are equal, and ``hash(span) == hash((start,
+    end, line, col))``, as for the frozen dataclass a span used to be, so
+    no set or dict keyed by spans changes order.  Generic AST walkers test
+    container fields by exact type (``type(value) is tuple``) so that they
+    do not iterate a node's span as four ints.
+    """
 
     start: int
     end: int

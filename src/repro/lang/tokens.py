@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .span import Span
 
@@ -134,8 +134,9 @@ INT_SUFFIXES = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme: an immutable tuple, like its :class:`Span`."""
+
     kind: TokenKind
     text: str
     span: Span

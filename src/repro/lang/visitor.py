@@ -33,11 +33,11 @@ def iter_with_parents(
     for value in vars(root).values():
         if isinstance(value, ast.Node):
             yield from iter_with_parents(value, root)
-        elif isinstance(value, (list, tuple)):
+        elif type(value) is list or type(value) is tuple:
             for item in value:
                 if isinstance(item, ast.Node):
                     yield from iter_with_parents(item, root)
-                elif isinstance(item, tuple):
+                elif type(item) is tuple:
                     for sub in item:
                         if isinstance(sub, ast.Node):
                             yield from iter_with_parents(sub, root)
@@ -54,12 +54,12 @@ def replace_node(root: ast.Node, target_id: int, replacement: ast.Node) -> bool:
             if isinstance(value, ast.Node) and value.node_id == target_id:
                 setattr(node, attr, replacement)
                 return True
-            if isinstance(value, list):
+            if type(value) is list:
                 for index, item in enumerate(value):
                     if isinstance(item, ast.Node) and item.node_id == target_id:
                         value[index] = replacement
                         return True
-                    if isinstance(item, tuple):
+                    if type(item) is tuple:
                         for tup_idx, sub in enumerate(item):
                             if isinstance(sub, ast.Node) and sub.node_id == target_id:
                                 new_tuple = list(item)

@@ -27,7 +27,7 @@ once per source.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..miri.errors import MiriReport, UbKind
 from .client import LLMClient

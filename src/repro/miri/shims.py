@@ -18,11 +18,10 @@ from __future__ import annotations
 from ..lang import types as ty
 from ..lang.span import Span
 from .errors import InterpUnsupported, MiriError, PanicSignal, UbKind, UbSignal
-from .memory import AllocKind, Relocation
+from .memory import AllocKind
 from .values import (
     VAggregate,
     VBool,
-    VFnPtr,
     VInt,
     VLayout,
     VMutexGuard,

@@ -8,7 +8,7 @@ pointer provenance through relocation entries exactly like Miri does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..lang import types as ty
 

@@ -57,6 +57,13 @@ class TestSpans:
         assert diag.code == "E0001"
         assert diag.span.line == 1
 
+    def test_unterminated_block_comment_is_a_syntax_error(self):
+        report = check_source("fn main() { let x = 1; } /* never closed")
+        [diag] = report.diagnostics
+        assert diag.code == "E0001"
+        assert "unterminated block comment" in diag.message
+        assert (diag.span.line, diag.span.col) == (1, 26)
+
 
 class TestSuggestionConvergence:
     @pytest.mark.parametrize("code", SUGGESTION_REPAIRABLE)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.corpus import generate_sources, load_compile_dataset, load_dataset
 from repro.lang.lexer import LexError, tokenize
-from repro.lang.tokens import TokenKind as T
+from repro.lang.span import Span, line_col
+from repro.lang.tokens import Token, TokenKind as T
 
 
 def kinds(source):
@@ -109,6 +111,18 @@ class TestComments:
     def test_nested_block_comment(self):
         assert kinds("1 /* a /* b */ c */ 2") == [T.INT, T.INT]
 
+    def test_unterminated_block_comment_raises_at_opener(self):
+        with pytest.raises(LexError) as err:
+            tokenize("fn main() { let x = 1; } /* never closed")
+        assert err.value.message == "unterminated block comment"
+        assert (err.value.line, err.value.col) == (1, 26)
+
+    def test_unclosed_nested_opener_raises_at_outermost_opener(self):
+        with pytest.raises(LexError) as err:
+            tokenize("let a;\n  /* outer /* inner */ still open\n")
+        assert err.value.message == "unterminated block comment"
+        assert (err.value.line, err.value.col) == (2, 3)
+
 
 class TestSpans:
     def test_line_and_column_tracking(self):
@@ -136,3 +150,48 @@ class TestRealisticSnippets:
 
     def test_attribute_tokens(self):
         assert kinds("#[derive(Debug)]")[0] is T.HASH
+
+
+class TestTokenValue:
+    def test_equality_and_hash_are_by_fields(self):
+        span = Span(0, 3, 1, 1)
+        assert Token(T.KW_LET, "let", span) == Token(T.KW_LET, "let", span)
+        assert Token(T.KW_LET, "let", span) != Token(T.IDENT, "let", span)
+        assert hash(Token(T.KW_LET, "let", span)) == \
+            hash((T.KW_LET, "let", span))
+
+    def test_lexed_tokens_equal_constructed_ones(self):
+        assert tokenize("x")[0] == Token(T.IDENT, "x", Span(0, 1, 1, 1))
+
+    def test_repr_shows_kind_text_and_position(self):
+        assert repr(tokenize("\n  x")[0]) == "Token(IDENT, 'x'@2:3)"
+
+    def test_fields_cannot_be_assigned(self):
+        token = tokenize("x")[0]
+        with pytest.raises(AttributeError):
+            token.text = "y"
+
+
+@pytest.fixture(scope="module")
+def corpus_sources():
+    """Both corpora (buggy and fixed sides) and 500 generated mutants."""
+    sources = [text for dataset in (load_dataset(), load_compile_dataset())
+               for case in dataset
+               for text in (case.source, case.fixed_source)]
+    return sources + generate_sources(500, 12345)
+
+
+class TestTokenPositions:
+    def test_every_token_spells_its_text_at_its_position(self, corpus_sources):
+        """Each span slices its token's text out of the source, and its
+        line and column agree with :func:`line_col`, which recomputes them
+        from the offset independently of the scanner."""
+        checked = 0
+        for source in corpus_sources:
+            for token in tokenize(source):
+                span = token.span
+                assert source[span.start:span.end] == token.text, token
+                assert (span.line, span.col) == \
+                    line_col(source, span.start), token
+                checked += 1
+        assert checked > 60_000

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.corpus import load_dataset
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import ParseError, parse_expr, parse_program
+from repro.lang.lexer import LexError, tokenize
+from repro.lang.parser import ParseError, Parser, parse_expr, parse_program
 from repro.lang import types as ty
+from repro.lang.tokens import TokenKind as T
 
 
 class TestItems:
@@ -402,3 +405,37 @@ class TestParseMemoization:
         for _ in range(2):
             with pytest.raises(ParseError):
                 parse_program("fn main() { let = 3; }")
+
+
+#: Every third token boundary of each case, starting at a different one
+#: per case: about 3,300 of the 9,988 prefixes, to keep tier-1 fast.
+PREFIX_STRIDE = 3
+
+
+class TestPaddedCursor:
+    """The parser peeks up to two tokens past its cursor without clamping:
+    a truncated program must end in a syntax error, never an IndexError."""
+
+    @pytest.mark.parametrize("index, case", [
+        pytest.param(index, case, id=case.name)
+        for index, case in enumerate(load_dataset())])
+    def test_prefix_parses_or_raises_a_syntax_error(self, index, case):
+        source = case.source
+        ends = [token.span.end for token in tokenize(source)]
+        for end in ends[index % PREFIX_STRIDE::PREFIX_STRIDE]:
+            try:
+                Parser(source[:end]).parse_program()
+            except (ParseError, LexError):
+                pass
+
+    def test_peeks_past_the_end_read_eof(self):
+        parser = Parser("fn main() {}")
+        parser.parse_program()
+        assert [parser._peek(offset).kind for offset in range(3)] == \
+            [T.EOF] * 3
+
+    def test_lookahead_at_the_end_of_input(self):
+        for prefix in ("fn main() { S", "fn main() { S {", "fn main() { S { x",
+                       "fn main() { a::", "unsafe", "const", "fn f(x: Vec<"):
+            with pytest.raises(ParseError):
+                Parser(prefix).parse_program()

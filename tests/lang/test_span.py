@@ -1,6 +1,8 @@
 """Tests for the span line/column helpers shared by parser errors and
 checker diagnostics."""
 
+import pytest
+
 from repro.lang.span import (DUMMY_SPAN, Span, line_col, render_snippet,
                              source_line, span_at)
 
@@ -69,3 +71,35 @@ class TestRenderSnippet:
 
     def test_dummy_span_renders_location_only(self):
         assert render_snippet(SOURCE, DUMMY_SPAN) == "  --> 0:0"
+
+
+class TestSpanValue:
+    """A span is an immutable value: equality, hash and repr are those of
+    the frozen dataclass it replaced, so sets and dicts keyed by spans keep
+    their order."""
+
+    def test_equality_is_by_fields(self):
+        assert Span(3, 8, 1, 4) == Span(3, 8, 1, 4)
+        assert Span(3, 8, 1, 4) != Span(3, 9, 1, 4)
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        assert hash(Span(3, 8, 1, 4)) == hash((3, 8, 1, 4))
+
+    def test_repr_names_every_field(self):
+        assert repr(Span(3, 8, 1, 4)) == "Span(start=3, end=8, line=1, col=4)"
+
+    def test_str_is_line_and_column(self):
+        assert str(Span(3, 8, 2, 4)) == "2:4"
+
+    def test_fields_cannot_be_assigned(self):
+        span = Span(3, 8, 1, 4)
+        with pytest.raises(AttributeError):
+            span.start = 0
+        with pytest.raises(AttributeError):
+            span.label = "x"
+
+    def test_merge_covers_both_in_either_order(self):
+        first, second = Span(3, 8, 1, 4), Span(10, 20, 2, 1)
+        assert first.merge(second) == Span(3, 20, 1, 4)
+        assert second.merge(first) == Span(3, 20, 1, 4)
+        assert Span(3, 30, 1, 4).merge(second) == Span(3, 30, 1, 4)

@@ -490,6 +490,15 @@ fn main() {
         assert report.errors[0].kind is UbKind.COMPILE
 
 
+class TestLexErrors:
+    def test_unterminated_block_comment_is_compile_error(self):
+        report = detect_ub("fn main() { let x = 1; } /* never closed",
+                           debug=True)
+        assert not report.passed
+        assert report.errors[0].kind is UbKind.COMPILE
+        assert "unterminated block comment" in report.errors[0].message
+
+
 class TestCollectMode:
     def test_collects_multiple_errors(self):
         report = detect_ub('''
