@@ -14,7 +14,6 @@ from __future__ import annotations
 from ..lang import LexError, ParseError
 from ..lang import ast_nodes as ast
 from ..lang.parser import _parse_program_cached
-from ..lang.span import Span
 from ..lang.types import LayoutError, StructLayout
 from .borrowck import Borrowck
 from .diagnostics import CheckReport, Diagnostic, sort_diagnostics
@@ -24,13 +23,9 @@ from .typeck import Typeck
 
 def _syntax_diagnostic(source: str, error: ParseError | LexError) -> \
         Diagnostic:
-    if isinstance(error, ParseError):
-        span = error.span
-    else:
-        span = Span(0, 0, error.line, error.col)
     return Diagnostic(code="E0001",
                       message=f"syntax error: {error.message}",
-                      span=span)
+                      span=error.span)
 
 
 def compute_layouts(program: ast.Program) -> tuple[

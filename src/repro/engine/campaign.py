@@ -1,62 +1,62 @@
-"""Campaign runner: shard a dataset across workers, one arm at a time.
+"""Campaign runner: plan every arm into tasks, then run and replay them.
 
 A :class:`Campaign` evaluates one or more engine specs over a
-:class:`~repro.corpus.dataset.Dataset`.  The dataset is split into
-contiguous shards which a ``concurrent.futures`` pool drains; every case
-gets a **fresh engine instance with a per-case derived seed**, so the
-outcome of a case depends only on ``(spec, model, campaign seed, case
-index)`` — never on scheduling — and a pooled run is byte-identical to a
-serial one at any worker count.
+:class:`~repro.corpus.dataset.Dataset`.  Every arm is first planned into
+*tasks*, one loop runs them, and one completion routine reports them:
 
-``workers`` alone picks the path.  One worker runs in-process: the
-reference semantics.  More workers drain the shards through a process
-pool over picklable shard tasks: real multi-core parallelism for the
-parse → interpret → repair pipeline.  Workers return plain
-:class:`~repro.engine.types.RepairReport` lists; all telemetry is emitted
-in the parent in deterministic (submission) order.  ``executor=`` picks
-no path: it is validated (``"serial"`` or the default ``"process"``;
-``"serial"`` insists on one worker) and recorded as ``config.executor``.
+* **Plan.**  ``isolation="per_case"`` (the default) cuts the dataset
+  into contiguous shards of ``shard_size`` cases, and every case gets a
+  **fresh engine with a per-case derived seed**, so its outcome depends
+  only on ``(spec, model, campaign seed, case index)`` — never on
+  scheduling.  ``isolation="shared"`` makes the whole arm one task: one
+  engine walks the dataset serially, so cross-case state (RustBrain's
+  self-learning feedback memory) accumulates exactly as in the paper's
+  experiments.  Every arm is planned before any case runs, and each
+  task's entries — one per case, or one per shared arm — are looked up
+  once: in the :class:`~repro.engine.cache.ResultCache`
+  (``cache=``/``cache_dir=``) first, then in the
+  :class:`~repro.engine.journal.CampaignJournal` (``journal=``).
+* **Run.**  What neither answers runs in-process at ``workers == 1`` (the
+  reference semantics; each case's repair runs between its
+  ``on_case_start`` and ``on_case_done``), or above that as picklable
+  tasks on one process pool leased for the tasks of every arm.  Workers
+  return plain :class:`~repro.engine.types.RepairReport` lists, collected
+  in submission order.  A task with nothing to run is never submitted,
+  so a fully warm campaign leases no pool.
+* **Complete.**  Each case's events are emitted in dataset order, so the
+  event sequence (apart from ``on_retry``) is the same at any worker
+  count.  Results are then written back: the cache stores what ran, the
+  journal appends what ran and what the cache answered.
 
-Process pools are *leased* from the shared
+``workers`` alone picks where tasks run.  ``executor=`` picks nothing: it
+is validated (``"serial"`` or the default ``"process"``; ``"serial"``
+insists on one worker) and recorded as ``config.executor``.  Process
+pools are *leased* from the shared
 :data:`~repro.engine.pool.EXECUTOR_SERVICE` (see DESIGN.md, "Execution
 resources"): repeated campaigns reuse one long-lived pool per width,
-clamped to the service's core budget — wall-clock only, never bytes.
-
-A :class:`~repro.engine.cache.ResultCache` (``cache=``/``cache_dir=``) is
-consulted in the parent before any case is dispatched: hits are replayed
-from disk (with ``on_cache`` telemetry), only misses reach the pool, and
-fresh reports are written back — so a warm re-run of an identical campaign
-performs zero engine case executions.
-
-Progress surfaces through the structured observer events in
-:mod:`repro.engine.telemetry`, and a finished run serializes to JSON
-(``campaign.json``) for the ``BENCH_*`` trajectory.
-
-The legacy stateful path — one shared engine walked serially over the
-dataset, accumulating feedback memory across cases — lives on as
-:func:`run_cases` and as ``isolation="shared"``.  A shared sweep is
-order-dependent by design, so within an arm it always runs serially
-(a one-arm campaign with ``workers > 1`` falls back with a warning); with
-several arms and ``workers > 1``, whole arms run in parallel instead —
-each arm keeps its exact stateful semantics while the pool stays
-saturated, which is how the benchmark figures fan their per-seed repeat
-samples out.
+clamped to the service's core budget — wall-clock only, never bytes.  A
+shared sweep is order-dependent by design, so a one-arm shared campaign
+with ``workers > 1`` falls back to one worker with a warning; with
+several arms, whole arms run in parallel, which is how the benchmark
+figures fan their per-seed repeat samples out.
 
 Campaigns are resilient (see DESIGN.md, "Failure model & recovery"):
 
 * A fault plan (``faults=`` or ``REPRO_FAULTS``,
   :mod:`repro.engine.faults`) is installed for the duration of ``run()``
   and travels to process workers as a spec string in the task arguments.
-  A worker killed mid-shard breaks the pool; the campaign re-leases a
-  replacement from the :data:`~repro.engine.pool.EXECUTOR_SERVICE` and
-  re-dispatches the uncollected shards with deterministic backoff
-  (``on_retry`` telemetry) — results stay byte-identical because every
-  case derives its seed from ``(campaign seed, index)``, not from which
-  worker ran it.
-* A :class:`~repro.engine.journal.CampaignJournal` (``journal=``)
-  durably appends every completed result, keyed by the existing cache
+  A worker killed mid-task breaks the pool; the campaign re-leases a
+  replacement and re-dispatches the uncollected tasks with deterministic
+  backoff (``on_retry`` telemetry).  Results stay byte-identical because
+  a task is a pure function of its arguments, not of which worker ran it.
+* The journal durably appends every completed result, keyed by the cache
   keys; a killed campaign resumed with the same journal replays the
-  journaled cases and re-executes only what is missing.
+  journaled results and re-executes only what is missing.
+
+Progress surfaces through the structured observer events in
+:mod:`repro.engine.telemetry`, and a finished run serializes to JSON
+(``campaign.json``) for the ``BENCH_*`` trajectory.  :func:`run_cases`
+keeps the legacy stateful sweep of one engine instance.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ from .registry import create_engine
 from .results import SystemResults
 from .retry import CAMPAIGN_RETRY, RETRY_EVENTS, RetryPolicy
 from .spec import EngineSpec, arm_label
-from .telemetry import (CacheQueried, CampaignObserver, CaseFinished,
-                        CaseStarted, EngineFinished, EngineStarted,
-                        MemberFinished, RetryAttempted, RoundFinished,
-                        TelemetryLog)
+from .telemetry import (CacheQueried, CampaignObserver, CaseStarted,
+                        EngineFinished, EngineStarted, RetryAttempted,
+                        RoundFinished, TelemetryLog, case_finished_events)
 from .types import RepairReport, RepairRequest, run_request
 
 #: Multiplier decorrelating per-case seeds from neighbouring campaign seeds.
@@ -134,64 +133,81 @@ def run_cases(engine, dataset: Dataset, label: str) -> SystemResults:
 
 
 # ---------------------------------------------------------------------------
-# Picklable process-pool tasks.  Workers rebuild engines from spec strings
-# (the registry re-imports lazily in spawned children) and return plain
-# report lists; no locks, observers, or caches ever cross the boundary.
+# Running a task's misses.  The same generator serves the in-process path
+# and the process-pool workers, which rebuild engines from spec strings
+# and return plain report lists: no lock, observer or cache ever crosses
+# the process boundary.
 
 
-def _worker_faults(faults: str, key: str, attempt: int):
-    """Install the task's fault plan in this worker and roll its fate.
+def _repairs(spec, label: str, model: str, temperature: float,
+             base_seed: int, items, shared: bool, hang=None):
+    """Repair ``(index, case)`` pairs lazily, yielding one report each.
 
-    The plan arrives as a spec string *in the task arguments* (never via
-    parent globals — workers are long-lived and fork-once), is installed
-    for the duration of the task so LLM/cache hooks inside the worker see
-    it, and decides up front whether this worker crashes or hangs.
-    ``attempt`` is the parent's re-dispatch count: a shard that crashed
-    the pool must not crash its replacement forever.
+    A shared task walks one engine, seeded with ``base_seed``, over every
+    item; otherwise each case gets a fresh engine on its derived seed.
+    ``hang``, given only in-process, rolls each case's hang fault site
+    just before its repair.
+    """
+    engine = None
+    for index, case in items:
+        if hang is not None:
+            hang(f"{label}|case{index}")
+        if engine is None or not shared:
+            engine = create_engine(
+                spec, model=model, temperature=temperature,
+                seed=base_seed if shared else case_seed(base_seed, index))
+        yield run_request(engine, RepairRequest.from_case(case, index),
+                          engine_label=label)
 
-    Returns the previous override, for the caller's ``finally`` restore.
+
+def _execute_task(spec: str, label: str, model: str, temperature: float,
+                  base_seed: int, items: list, shared: bool, faults: str,
+                  fault_key: str, attempt: int) -> list[RepairReport]:
+    """Process-pool entry point: run one task's misses.
+
+    The fault plan arrives as a spec string *in the task arguments*
+    (never via parent globals — workers are long-lived and fork-once) and
+    is installed for the task so LLM/cache hooks inside the worker see
+    it.  It decides up front whether this worker crashes or hangs;
+    ``attempt`` is the parent's re-dispatch count, so a task that crashed
+    the pool does not crash its replacement forever.
     """
     plan = faults_mod.FaultPlan.parse(faults)
     previous = faults_mod.install(plan)
-    if plan.enabled:
-        plan.crash(key, attempt)
-        plan.hang(key, attempt)
-    return previous
-
-
-def _execute_case_batch(spec: str, label: str, model: str, temperature: float,
-                        base_seed: int, items: list, faults: str = "",
-                        attempt: int = 0) -> list[RepairReport]:
-    """Run a shard of ``(index, case)`` pairs with per-case engines."""
-    first = items[0][0] if items else 0
-    previous = _worker_faults(faults, f"{label}|shard{first}", attempt)
     try:
-        reports = []
-        for index, case in items:
-            engine = create_engine(spec, model=model,
-                                   seed=case_seed(base_seed, index),
-                                   temperature=temperature)
-            reports.append(run_request(engine,
-                                       RepairRequest.from_case(case, index),
-                                       engine_label=label))
-        return reports
+        if plan.enabled:
+            plan.crash(fault_key, attempt)
+            plan.hang(fault_key, attempt)
+        return list(_repairs(spec, label, model, temperature, base_seed,
+                             items, shared))
     finally:
         faults_mod.install(previous)
 
 
-def _execute_shared_arm(spec: str, label: str, model: str, temperature: float,
-                        base_seed: int, cases: list, faults: str = "",
-                        attempt: int = 0) -> list[RepairReport]:
-    """Run one whole stateful arm serially (shared-isolation semantics)."""
-    previous = _worker_faults(faults, f"{label}|arm", attempt)
-    try:
-        engine = create_engine(spec, model=model, seed=base_seed,
-                               temperature=temperature)
-        return [run_request(engine, RepairRequest.from_case(case, index),
-                            engine_label=label)
-                for index, case in enumerate(cases)]
-    finally:
-        faults_mod.install(previous)
+@dataclass
+class _Entry:
+    """One cache/journal entry of a task: a case, or a whole shared arm."""
+
+    key: str | None                  # None without a cache and a journal
+    items: list                      # [(index, case), ...] in dataset order
+    reports: list | None             # answered by the cache or journal
+    cached: bool                     # the cache answered
+
+
+@dataclass
+class _Arm:
+    """One spec's plan: its seeding and its tasks (lists of entries)."""
+
+    spec: EngineSpec
+    run_spec: EngineSpec             # the spec with a pinned seed hoisted
+    label: str
+    base_seed: int
+    tasks: list
+
+
+def _misses(task: list[_Entry]) -> list:
+    return [item for entry in task if entry.reports is None
+            for item in entry.items]
 
 
 @dataclass
@@ -251,32 +267,27 @@ class CampaignResult:
                                       encoding="utf-8")
 
 
-@dataclass
-class _ShardPlan:
-    """One shard after the parent-side cache pass: what is already known
-    (``hits``) and what still needs an engine (``misses``)."""
-
-    shard: list                      # [(index, case), ...] in dataset order
-    hits: dict                       # index -> cached RepairReport
-    misses: list                     # [(index, case), ...] needing execution
-    keys: dict                       # index -> cache key (when caching)
-
-
 class Campaign:
-    """Sweep engine arms over a dataset with a sharded worker pool.
+    """Sweep engine arms over a dataset: plan tasks, run them, replay them.
 
     ``isolation`` picks the execution semantics per arm:
 
     * ``"per_case"`` (default) — a fresh engine per case with a derived
-      seed; order- and worker-count-invariant, parallelises freely.
-    * ``"shared"`` — one engine instance walks the dataset serially, so
-      cross-case state (RustBrain's self-learning feedback memory)
-      accumulates exactly as in the paper's experiments.  A stateful sweep
-      is order-dependent by design: within an arm it always runs serially.
-      With ``workers > 1`` and more than one arm, whole arms are
-      dispatched to the process pool instead; a one-arm campaign falls
-      back to serial with a :class:`RuntimeWarning` rather than silently
-      changing semantics.
+      seed; the arm's tasks are shards of ``shard_size`` cases, order- and
+      worker-count-invariant, and parallelise freely.
+    * ``"shared"`` — the whole arm is one task: one engine instance walks
+      the dataset serially, so cross-case state (RustBrain's self-learning
+      feedback memory) accumulates exactly as in the paper's experiments.
+      With ``workers > 1`` and more than one arm, whole arms run on the
+      process pool in parallel; a one-arm campaign falls back to one
+      worker with a :class:`RuntimeWarning` rather than silently changing
+      semantics.
+
+    Either way, ``run()`` looks every task up in the cache and journal
+    before any case runs, runs the misses (in-process at one worker, on
+    one leased process pool above), and emits each case's events in
+    dataset order; ``on_round`` fires at every ``shard_size`` boundary of
+    an arm.
     """
 
     def __init__(self, engines, dataset: Dataset | None = None, *,
@@ -365,432 +376,192 @@ class Campaign:
             for observer in self.observers:
                 getattr(observer, hook)(event)
 
-    # -- execution ---------------------------------------------------------
-
     def label_for(self, spec: EngineSpec) -> str:
         return arm_label(spec, self.model)
 
-    def _arm_seeding(self, spec: EngineSpec) -> tuple[int, EngineSpec]:
-        """See :func:`hoist_pinned_seed` (the arm base is the campaign
-        seed unless the spec pins its own)."""
-        return hoist_pinned_seed(spec, self.seed)
+    # -- planning ----------------------------------------------------------
 
-    def _run_case(self, spec: EngineSpec, label: str, base_seed: int,
-                  index: int, case, total: int, engine=None) -> RepairReport:
-        self._emit("on_case_start",
-                   CaseStarted(engine=label, case=case.name, index=index,
-                               total=total))
-        # In-process executions honour the plan's hang site only: a crash
-        # here would take down the campaign itself, not a worker.
-        if self.fault_plan.enabled:
-            self.fault_plan.hang(f"{label}|case{index}")
-        if engine is None:
-            engine = create_engine(spec, model=self.model,
-                                   seed=case_seed(base_seed, index),
-                                   temperature=self.temperature)
-        report = run_request(engine, RepairRequest.from_case(case, index),
-                             engine_label=label)
-        self._emit_case_done(label, case.name, index, total, report)
-        return report
-
-    def _emit_case_done(self, label: str, case_name: str, index: int,
-                        total: int, report: RepairReport) -> None:
-        # Ensemble arms: one event per consulted member, in consultation
-        # order.  The summaries ride inside the report, so live, pooled,
-        # and cache-replayed cases all emit the identical stream.
-        for member in report.members:
-            self._emit("on_member_done", MemberFinished(
-                engine=label, case=case_name, index=index,
-                member=member["member"], model=member["model"],
-                member_index=member["index"], passed=member["passed"],
-                seconds=member["seconds"],
-                wave=member.get("wave", 0)))
-        self._emit("on_case_done",
-                   CaseFinished(engine=label, case=case_name, index=index,
-                                total=total, passed=report.passed,
-                                acceptable=report.acceptable,
-                                seconds=report.seconds))
-
-    def _replay_case(self, label: str, case, index: int, total: int,
-                     report: RepairReport) -> None:
-        """Emit start/done events for a case served from cache or a pool."""
-        self._emit("on_case_start",
-                   CaseStarted(engine=label, case=case.name, index=index,
-                               total=total))
-        self._emit_case_done(label, case.name, index, total, report)
-
-    # -- cache pass --------------------------------------------------------
-
-    def _plan_shards(self, spec: EngineSpec, label: str,
-                     base_seed: int, shards) -> list[_ShardPlan]:
-        """Parent-side cache/journal consult: split shards into hits/misses.
-
-        ``on_cache`` telemetry fires here, in dataset order, identically
-        at any worker count.  The journal is consulted *behind*
-        the cache and emits no telemetry of its own: a journal replay
-        must leave the event stream exactly as the original (cacheless)
-        run produced it, or a resumed ``campaign.json`` would differ.
-        """
+    def _plan(self, spec: EngineSpec) -> _Arm:
+        """Split one arm into tasks and look up every entry once."""
+        base_seed, run_spec = hoist_pinned_seed(spec, self.seed)
+        items = list(enumerate(self.dataset))
         spec_str = spec.to_string()
-        plans = []
-        for shard in shards:
-            hits: dict = {}
-            misses: list = []
-            keys: dict = {}
-            for index, case in shard:
-                if self.cache is None and self.journal is None:
-                    misses.append((index, case))
-                    continue
-                key = case_key(spec_str, self.model, self.temperature,
-                               case_seed(base_seed, index),
-                               fingerprint_case(case.name, case.source,
-                                                case.fixed_source,
-                                                case.difficulty,
-                                                case.category))
-                keys[index] = key
-                cached = None
-                if self.cache is not None:
-                    cached = self.cache.get(key)
-                    self._emit("on_cache",
-                               CacheQueried(engine=label, case=case.name,
-                                            index=index,
-                                            hit=cached is not None, key=key))
-                if cached is not None:
-                    hits[index] = cached[0]
-                    self._journal_record(key, [cached[0]], kind="case",
-                                         arm=label, index=index)
-                    continue
-                journaled = self.journal.get(key) \
-                    if self.journal is not None else None
-                if journaled is not None:
-                    hits[index] = journaled[0]
-                else:
-                    misses.append((index, case))
-            plans.append(_ShardPlan(shard=list(shard), hits=hits,
-                                    misses=misses, keys=keys))
-        return plans
-
-    def _journal_record(self, key: str | None, reports, *, kind: str,
-                        arm: str, index: int | None = None) -> None:
-        """Durably journal one completed result (no-op without a journal;
-        duplicate keys — replays, cache hits already journaled by the
-        interrupted run — are ignored by the journal itself)."""
-        if self.journal is not None and key is not None:
-            self.journal.append(key, reports, kind=kind, arm=arm,
-                                index=index)
-
-    def _merge_shard(self, label: str, total: int, plan: _ShardPlan,
-                     miss_reports: list[RepairReport],
-                     replay_misses: bool) -> list[RepairReport]:
-        """Stitch cached hits and fresh reports back into dataset order,
-        emitting events for anything that did not run through
-        :meth:`_run_case` and writing misses back to the cache."""
-        fresh = {index: report
-                 for (index, _case), report in zip(plan.misses, miss_reports)}
-        merged = []
-        for index, case in plan.shard:
-            if index in plan.hits:
-                report = plan.hits[index]
-                self._replay_case(label, case, index, total, report)
-            else:
-                report = fresh[index]
-                if replay_misses:
-                    self._replay_case(label, case, index, total, report)
-                if self.cache is not None:
-                    self.cache.put(plan.keys[index], [report])
-                self._journal_record(plan.keys.get(index), [report],
-                                     kind="case", arm=label, index=index)
-            merged.append(report)
-        return merged
-
-    # -- per-arm execution -------------------------------------------------
-
-    def _run_arm(self, spec: EngineSpec) -> ArmRun:
-        label = self.label_for(spec)
-        base_seed, run_spec = self._arm_seeding(spec)
-        cases = list(self.dataset)
-        total = len(cases)
-        self._emit("on_engine_start",
-                   EngineStarted(engine=label, cases=total))
+        keyed = self.cache is not None or self.journal is not None
         if self.isolation == "shared":
-            reports = self._run_shared_arm(spec, run_spec, label, base_seed,
-                                           cases)
+            key = None
+            if keyed:
+                key = arm_key(spec_str, self.model, self.temperature,
+                              base_seed,
+                              fingerprint_dataset(list(self.dataset)))
+            tasks = [[self._lookup(key, items)]]
         else:
-            reports = self._run_per_case_arm(spec, run_spec, label, base_seed,
-                                             cases)
-        self._emit_engine_done(label, reports)
-        return ArmRun(spec=spec, label=label, reports=reports)
+            entries = []
+            for index, case in items:
+                key = None
+                if keyed:
+                    key = case_key(spec_str, self.model, self.temperature,
+                                   case_seed(base_seed, index),
+                                   fingerprint_case(case.name, case.source,
+                                                    case.fixed_source,
+                                                    case.difficulty,
+                                                    case.category))
+                entries.append(self._lookup(key, [(index, case)]))
+            tasks = [entries[start:start + self.shard_size]
+                     for start in range(0, len(entries), self.shard_size)]
+        return _Arm(spec, run_spec, self.label_for(spec), base_seed, tasks)
 
-    def _emit_engine_done(self, label: str,
-                          reports: list[RepairReport]) -> None:
-        self._emit("on_engine_done", EngineFinished(
-            engine=label, cases=len(reports),
-            passed=sum(r.passed for r in reports),
-            acceptable=sum(r.acceptable for r in reports),
-            virtual_seconds=sum(r.seconds for r in reports)))
-
-    def _shards(self, cases) -> list[list]:
-        indexed = list(enumerate(cases))
-        return [indexed[start:start + self.shard_size]
-                for start in range(0, len(cases), self.shard_size)]
-
-    def _run_per_case_arm(self, spec: EngineSpec, run_spec: EngineSpec,
-                          label: str, base_seed: int,
-                          cases: list) -> list[RepairReport]:
-        total = len(cases)
-        shards = self._shards(cases)
-        plans = self._plan_shards(spec, label, base_seed, shards)
-        rounds = len(plans)
-
-        reports: list[RepairReport] = []
-        completed = passed = 0
-
-        def collect(round_index: int, plan: _ShardPlan,
-                    miss_reports: list[RepairReport],
-                    replay_misses: bool) -> None:
-            nonlocal completed, passed
-            merged = self._merge_shard(label, total, plan, miss_reports,
-                                       replay_misses)
-            reports.extend(merged)
-            completed += len(merged)
-            passed += sum(r.passed for r in merged)
-            self._emit_round(label, round_index, rounds, completed, total,
-                            passed)
-
-        if self.workers == 1:
-            for round_index, plan in enumerate(plans):
-                miss_reports = [self._run_case(run_spec, label, base_seed,
-                                               index, case, total)
-                                for index, case in plan.misses]
-                collect(round_index, plan, miss_reports, replay_misses=False)
-        else:
-            spec_str = run_spec.to_string()
-            faults_str = self.fault_plan.to_string()
-            # A worker crash breaks the whole pool; the service hands out
-            # a replacement on the next lease, and only the *uncollected*
-            # shards are re-dispatched (collection is in submission order,
-            # so the collected prefix is exactly what is already merged).
-            # Re-execution is safe: shards are pure functions of their
-            # arguments, so a shard that completed but was never collected
-            # recomputes byte-identically.
-            position = 0
-            attempt = 0
-            while position < rounds:
-                remaining = plans[position:]
-                try:
-                    with EXECUTOR_SERVICE.lease("process",
-                                                self.workers) as pool:
-                        futures = [pool.submit(
-                            _execute_case_batch, spec_str, label,
-                            self.model, self.temperature, base_seed,
-                            plan.misses, faults_str, attempt)
-                            for plan in remaining]
-                        try:
-                            for future, plan in zip(futures, remaining):
-                                collect(position, plan, future.result(),
-                                        replay_misses=True)
-                                position += 1
-                        except BaseException:
-                            cancel_and_wait(futures)
-                            raise
-                except BrokenProcessPool as exc:
-                    attempt += 1
-                    self._redispatch_backoff(label, position, attempt, exc)
-        return reports
-
-    def _redispatch_backoff(self, label: str, position: int, attempt: int,
-                            exc: BaseException) -> None:
-        """Between shard re-dispatches: exhaust the budget or back off.
-
-        Emits the ``on_retry`` event through the process-wide notifier —
-        :meth:`run` keeps a subscription open, so the event lands in this
-        campaign's telemetry alongside LLM-level retries.
-        """
-        if attempt >= self.retry.attempts:
-            raise exc
-        delay = self.retry.delay_for(attempt - 1, key=label)
-        RETRY_EVENTS.emit(RetryAttempted(
-            site="worker", key=f"{label}|round{position}", attempt=attempt,
-            max_attempts=self.retry.attempts, delay_seconds=delay,
-            error=f"{type(exc).__name__}: {exc}"))
-        self.retry.sleep(delay)
-
-    def _run_shared_arm(self, spec: EngineSpec, run_spec: EngineSpec,
-                        label: str, base_seed: int,
-                        cases: list) -> list[RepairReport]:
-        total = len(cases)
-        key = None
-        if self.cache is not None or self.journal is not None:
-            key = arm_key(spec.to_string(), self.model, self.temperature,
-                          base_seed, fingerprint_dataset(cases))
+    def _lookup(self, key: str | None, items: list) -> _Entry:
+        """The cache first, the journal behind it; a hit counts only when
+        it holds one report per item.  The journal emits no telemetry of
+        its own: a journal replay must leave the event stream exactly as
+        the original (cacheless) run produced it, or a resumed
+        ``campaign.json`` would differ."""
         if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None and len(cached) == total:
-                self._journal_record(key, cached, kind="arm", arm=label)
-                return self._replay_shared_arm(label, cases, cached, key,
-                                               hit=True)
+            reports = self.cache.get(key)
+            if reports is not None and len(reports) == len(items):
+                return _Entry(key, items, reports, cached=True)
         if self.journal is not None:
-            journaled = self.journal.get(key)
-            if journaled is not None and len(journaled) == total:
-                return self._replay_shared_arm(label, cases, journaled, key,
-                                               hit=False)
-        shared_engine = create_engine(run_spec, model=self.model,
-                                      seed=base_seed,
-                                      temperature=self.temperature)
-        reports: list[RepairReport] = []
-        completed = passed = 0
-        shards = self._shards(cases)
-        for round_index, shard in enumerate(shards):
-            shard_reports = []
-            for index, case in shard:
-                if self.cache is not None:
-                    self._emit("on_cache",
-                               CacheQueried(engine=label, case=case.name,
-                                            index=index, hit=False, key=key))
-                shard_reports.append(self._run_case(
-                    run_spec, label, base_seed, index, case, total,
-                    shared_engine))
-            reports.extend(shard_reports)
-            completed += len(shard_reports)
-            passed += sum(r.passed for r in shard_reports)
-            self._emit_round(label, round_index, len(shards), completed,
-                            total, passed)
-        if self.cache is not None:
-            self.cache.put(key, reports)
-        self._journal_record(key, reports, kind="arm", arm=label)
-        return reports
+            reports = self.journal.get(key)
+            if reports is not None and len(reports) == len(items):
+                return _Entry(key, items, reports, cached=False)
+        return _Entry(key, items, None, cached=False)
 
-    def _replay_shared_arm(self, label: str, cases: list,
-                           reports: list[RepairReport], key: str | None,
-                           hit: bool) -> list[RepairReport]:
-        """Emit the full event stream for an arm whose reports came from
-        the cache or a pooled worker — identical counts to a live run."""
-        total = len(cases)
-        shards = self._shards(cases)
-        completed = passed = 0
-        position = 0
-        for round_index, shard in enumerate(shards):
-            for index, case in shard:
-                # A journal replay passes a key but runs cacheless: no
-                # on_cache events, exactly like the original live run.
-                if key is not None and self.cache is not None:
-                    self._emit("on_cache",
-                               CacheQueried(engine=label, case=case.name,
-                                            index=index, hit=hit, key=key))
-                report = reports[position]
-                self._replay_case(label, case, index, total, report)
-                position += 1
-                completed += 1
-                passed += report.passed
-            self._emit_round(label, round_index, len(shards), completed,
-                            total, passed)
-        return reports
+    # -- running -----------------------------------------------------------
 
-    # -- arm-level pooling (shared isolation, several arms) ----------------
+    def _run_in_process(self, arm: _Arm, task: list[_Entry]):
+        """A task's misses as a lazy report iterator, so each repair runs
+        between its case's start and finish events.  In-process runs roll
+        the plan's hang site only: a crash here would take down the
+        campaign itself, not a worker."""
+        hang = self.fault_plan.hang if self.fault_plan.enabled else None
+        return _repairs(arm.run_spec, arm.label, self.model,
+                        self.temperature, arm.base_seed, _misses(task),
+                        self.isolation == "shared", hang)
 
-    def _run_arms_pooled(self) -> list[ArmRun]:
-        """Dispatch whole stateful arms to a process pool.
+    def _run_pooled(self, tasks: list[tuple[_Arm, list[_Entry]]]):
+        """Yield each task's miss reports, in order, from one leased pool.
 
-        Each arm keeps exact shared-isolation semantics (one engine, serial
-        over the dataset); the pool parallelises *across* arms, which is
-        what lets per-seed repeat sampling saturate every core.  Events are
-        emitted arm-by-arm in spec order as results are collected.
+        Every task with misses is submitted under one lease; collection is
+        in submission order.  A worker crash breaks the whole pool: the
+        next lease gets a replacement, and only the uncollected tasks are
+        re-dispatched, under the campaign's retry budget.  Re-execution is
+        safe because a task is a pure function of its arguments, so one
+        that finished but was never collected recomputes byte-identically.
         """
-        cases = list(self.dataset)
-        dataset_fp = fingerprint_dataset(cases) \
-            if self.cache is not None or self.journal is not None else None
-        # (spec, run_spec, label, base_seed, key, ready reports, source)
-        # where source is "cache", "journal", or None (needs execution).
-        plans = []
-        for spec in self.specs:
-            label = self.label_for(spec)
-            base_seed, run_spec = self._arm_seeding(spec)
-            key = ready = source = None
-            if dataset_fp is not None:
-                key = arm_key(spec.to_string(), self.model, self.temperature,
-                              base_seed, dataset_fp)
-            if self.cache is not None:
-                ready = self.cache.get(key)
-                if ready is not None and len(ready) == len(cases):
-                    source = "cache"
-                else:
-                    ready = None
-            if ready is None and self.journal is not None:
-                ready = self.journal.get(key)
-                if ready is not None and len(ready) == len(cases):
-                    source = "journal"
-                else:
-                    ready = None
-            plans.append((spec, run_spec, label, base_seed, key, ready,
-                          source))
+        faults = self.fault_plan.to_string()
+        shared = self.isolation == "shared"
 
-        arms: list[ArmRun] = []
+        def fault_key(arm: _Arm, misses: list) -> str:
+            return f"{arm.label}|arm" if shared \
+                else f"{arm.label}|shard{misses[0][0]}"
 
-        def collect(plan, futures) -> None:
-            spec, _run_spec, label, _base_seed, key, ready, source = plan
-            self._emit("on_engine_start",
-                       EngineStarted(engine=label, cases=len(cases)))
-            if source == "cache":
-                self._journal_record(key, ready, kind="arm", arm=label)
-                reports = self._replay_shared_arm(label, cases, ready,
-                                                  key, hit=True)
-            elif source == "journal":
-                reports = self._replay_shared_arm(label, cases, ready,
-                                                  key, hit=False)
-            else:
-                reports = futures[id(plan)].result()
-                self._replay_shared_arm(label, cases, reports, key,
-                                        hit=False)
-                if self.cache is not None:
-                    self.cache.put(key, reports)
-                self._journal_record(key, reports, kind="arm", arm=label)
-            self._emit_engine_done(label, reports)
-            arms.append(ArmRun(spec=spec, label=label, reports=reports))
-
-        faults_str = self.fault_plan.to_string()
-        position = 0
-        attempt = 0
-        while position < len(plans):
-            pending_live = [plan for plan in plans[position:]
-                            if plan[6] is None]
-            if not pending_live:
-                # Fully warm tail (cache or journal): every remaining arm
-                # replays from disk, so leasing a pool would do nothing.
-                for plan in plans[position:]:
-                    collect(plan, {})
-                    position += 1
-                break
-            # Keyed by the campaign's worker count, NOT min(workers, live):
-            # a live-count-dependent key would accumulate one long-lived
-            # pool per distinct cache-miss count across repeated sweeps.
-            # Excess workers simply idle for this run.  A BrokenProcessPool
-            # (worker crash) re-leases and re-dispatches the uncollected
-            # live arms, exactly like the per-case shard path.
+        position = attempt = 0
+        while position < len(tasks):
+            pending = {number: (arm, misses) for number, (arm, task)
+                       in enumerate(tasks[position:], position)
+                       if (misses := _misses(task))}
+            if not pending:
+                # Nothing left to run: the tail replays without a pool.
+                for _task in tasks[position:]:
+                    yield iter(())
+                return
             try:
+                # Keyed by the campaign's worker count, not by how many
+                # tasks are pending, so repeated sweeps share one pool.
                 with EXECUTOR_SERVICE.lease("process", self.workers) as pool:
-                    futures = {id(plan): pool.submit(
-                        _execute_shared_arm, plan[1].to_string(), plan[2],
-                        self.model, self.temperature, plan[3], cases,
-                        faults_str, attempt)
-                        for plan in pending_live}
+                    futures = {number: pool.submit(
+                        _execute_task, arm.run_spec.to_string(), arm.label,
+                        self.model, self.temperature, arm.base_seed, misses,
+                        shared, faults, fault_key(arm, misses), attempt)
+                        for number, (arm, misses) in pending.items()}
                     try:
-                        while position < len(plans):
-                            collect(plans[position], futures)
+                        while position < len(tasks):
+                            future = futures.get(position)
+                            reports = [] if future is None \
+                                else future.result()
                             position += 1
+                            yield iter(reports)
                     except BaseException:
                         cancel_and_wait(futures.values())
                         raise
             except BrokenProcessPool as exc:
                 attempt += 1
-                self._redispatch_backoff("arms", position, attempt, exc)
-        return arms
+                if attempt >= self.retry.attempts:
+                    raise
+                # Named after the first task to re-dispatch (the pool may
+                # also break while tasks are still being submitted).
+                key = fault_key(*pending[min(number for number in pending
+                                             if number >= position)])
+                delay = self.retry.delay_for(attempt - 1, key=key)
+                # run() subscribes to RETRY_EVENTS, so this lands in the
+                # campaign's telemetry alongside LLM-level retries.
+                RETRY_EVENTS.emit(RetryAttempted(
+                    site="worker", key=key, attempt=attempt,
+                    max_attempts=self.retry.attempts, delay_seconds=delay,
+                    error=f"{type(exc).__name__}: {exc}"))
+                self.retry.sleep(delay)
 
-    def _emit_round(self, label: str, round_index: int, rounds: int,
-                    completed: int, total: int, passed: int) -> None:
-        # Running counters from the caller — no O(rounds * cases) rescans.
-        self._emit("on_round", RoundFinished(
-            engine=label, round_index=round_index, rounds=rounds,
-            completed=completed, total=total, passed_so_far=passed))
+    # -- completion --------------------------------------------------------
+
+    def _complete(self, arm: _Arm, live) -> ArmRun:
+        """Emit one arm's events in dataset order and write results back.
+
+        ``live`` yields, per task, an iterator over the reports of that
+        task's misses.
+        """
+        label = arm.label
+        total = len(self.dataset)
+        rounds = -(-total // self.shard_size)
+        self._emit("on_engine_start", EngineStarted(engine=label,
+                                                    cases=total))
+        reports: list[RepairReport] = []
+        passed = 0
+        for task in arm.tasks:
+            ran = next(live)
+            for entry in task:
+                source = ran if entry.reports is None else iter(entry.reports)
+                done = []
+                for index, case in entry.items:
+                    if self.cache is not None:
+                        self._emit("on_cache", CacheQueried(
+                            engine=label, case=case.name, index=index,
+                            hit=entry.cached, key=entry.key))
+                    self._emit("on_case_start", CaseStarted(
+                        engine=label, case=case.name, index=index,
+                        total=total))
+                    report = next(source)
+                    for hook, event in case_finished_events(
+                            label, case.name, index, total, report):
+                        self._emit(hook, event)
+                    done.append(report)
+                    reports.append(report)
+                    passed += report.passed
+                    if len(reports) % self.shard_size == 0 \
+                            or len(reports) == total:
+                        self._emit("on_round", RoundFinished(
+                            engine=label,
+                            round_index=(len(reports) - 1) // self.shard_size,
+                            rounds=rounds, completed=len(reports),
+                            total=total, passed_so_far=passed))
+                self._write_back(label, entry, done)
+        self._emit("on_engine_done", EngineFinished(
+            engine=label, cases=len(reports), passed=passed,
+            acceptable=sum(r.acceptable for r in reports),
+            virtual_seconds=sum(r.seconds for r in reports)))
+        return ArmRun(spec=arm.spec, label=label, reports=reports)
+
+    def _write_back(self, label: str, entry: _Entry,
+                    reports: list[RepairReport]) -> None:
+        """The cache stores what ran; the journal appends what ran and
+        what the cache answered (it ignores keys it already holds)."""
+        if entry.reports is None and self.cache is not None:
+            self.cache.put(entry.key, reports)
+        if self.journal is not None \
+                and (entry.reports is None or entry.cached):
+            shared = self.isolation == "shared"
+            self.journal.append(
+                entry.key, reports, kind="arm" if shared else "case",
+                arm=label, index=None if shared else entry.items[0][0])
 
     def _journal_fingerprint(self) -> str:
         """Digest of everything that determines case outcomes — so a
@@ -810,16 +581,22 @@ class Campaign:
             self.journal.open(self._journal_fingerprint())
         # Scope the campaign's fault plan process-wide so in-process
         # hooks (LLM client, cache) see it, and bridge every retry —
-        # LLM-level, shard re-dispatch, wherever — into this run's
+        # LLM-level, task re-dispatch, wherever — into this run's
         # telemetry as on_retry events.
         previous_plan = faults_mod.install(self.fault_plan)
         try:
             with RETRY_EVENTS.subscribed(
                     lambda event: self._emit("on_retry", event)):
-                if self.isolation == "shared" and self.workers > 1:
-                    arms = self._run_arms_pooled()
-                else:
-                    arms = [self._run_arm(spec) for spec in self.specs]
+                plans = [self._plan(spec) for spec in self.specs]
+                tasks = [(arm, task) for arm in plans for task in arm.tasks]
+                live = self._run_pooled(tasks) if self.workers > 1 else \
+                    (self._run_in_process(arm, task) for arm, task in tasks)
+                try:
+                    arms = [self._complete(arm, live) for arm in plans]
+                finally:
+                    # Closing the pooled generator ends its lease, after
+                    # the last task or on an error.
+                    live.close()
         finally:
             faults_mod.install(previous_plan)
         config = {

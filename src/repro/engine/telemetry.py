@@ -3,10 +3,11 @@
 The :class:`~repro.engine.campaign.Campaign` runner emits one event object
 per lifecycle edge — arm start/finish, case start/finish, shard-round
 finish — to every attached :class:`CampaignObserver`.  Observers are called
-under the campaign's lock (worker threads serialize through it), so simple
-observers need no synchronisation of their own; ``on_case_*`` arrival order
-between shards is scheduling-dependent, which is why :class:`TelemetryLog`
-only ever aggregates order-insensitive counts into its JSON summary.
+under the campaign's lock (retries may surface on other threads), so
+simple observers need no synchronisation of their own.  Cases are
+reported in dataset order whatever the worker count, because pooled
+results are collected in submission order; :class:`TelemetryLog` still
+aggregates only order-insensitive counts into its JSON summary.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class CacheQueried:
 
 @dataclass(frozen=True)
 class RetryAttempted:
-    """A transient failure was retried (LLM call, worker shard
+    """A transient failure was retried (LLM call, worker task
     re-dispatch, service job, or HTTP client reconnect).
 
     Emitted *before* the backoff sleep for retry number ``attempt`` (one-
@@ -130,6 +131,30 @@ class RetryAttempted:
 CampaignEvent = (EngineStarted | EngineFinished | CaseStarted
                  | CaseFinished | RoundFinished | MemberFinished
                  | CacheQueried | RetryAttempted)
+
+
+def case_finished_events(engine: str, case: str, index: int, total: int,
+                         report) -> list[tuple[str, CampaignEvent]]:
+    """The ``(hook, event)`` pairs that close one case: one
+    :class:`MemberFinished` per consulted ensemble member, in consultation
+    order, then :class:`CaseFinished`.
+
+    Built from the :class:`~repro.engine.types.RepairReport` alone, so a
+    live, pooled, cache-replayed or service-run case emits the identical
+    stream; the campaign and the repair service both call this.
+    """
+    events: list[tuple[str, CampaignEvent]] = [
+        ("on_member_done", MemberFinished(
+            engine=engine, case=case, index=index, member=member["member"],
+            model=member["model"], member_index=member["index"],
+            passed=member["passed"], seconds=member["seconds"],
+            wave=member.get("wave", 0)))
+        for member in report.members]
+    events.append(("on_case_done", CaseFinished(
+        engine=engine, case=case, index=index, total=total,
+        passed=report.passed, acceptable=report.acceptable,
+        seconds=report.seconds)))
+    return events
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,23 @@ from .tokens import INT_SUFFIXES, KEYWORDS, Token, TokenKind
 
 
 class LexError(Exception):
-    """Raised when the scanner meets a character it cannot tokenize."""
+    """Raised when the scanner meets a character it cannot tokenize.
 
-    def __init__(self, message: str, line: int, col: int):
+    ``span`` covers that character, at source ``offset`` (for an
+    unterminated literal or block comment, its opening character).
+    """
+
+    def __init__(self, message: str, line: int, col: int, offset: int):
         super().__init__(f"{message} at {line}:{col}")
         self.message = message
         self.line = line
         self.col = col
+        self.span = Span(offset, offset + 1, line, col)
 
     def render(self, source: str) -> str:
         """Caret snippet pointing at the unlexable character."""
-        from .span import Span, render_snippet
-        span = Span(0, 0, self.line, self.col)
-        return f"error: {self.message}\n" + render_snippet(source, span)
+        from .span import render_snippet
+        return f"error: {self.message}\n" + render_snippet(source, self.span)
 
 
 # Multi-character punctuation, longest-first so maximal munch works.
@@ -150,7 +154,7 @@ class Lexer:
                     while depth:
                         if i >= n:
                             raise LexError("unterminated block comment",
-                                           line, col)
+                                           line, col, pos)
                         if source.startswith("/*", i):
                             depth += 1
                             i += 2
@@ -222,7 +226,7 @@ class Lexer:
                 while True:
                     if i >= n:
                         raise LexError("unterminated string literal",
-                                       tok_line, tok_col)
+                                       tok_line, tok_col, start)
                     c = source[i]
                     if c == "\\":
                         i += 2
@@ -252,7 +256,7 @@ class Lexer:
                     i += 2
                     if i >= n or source[i] != "'":
                         raise LexError("unterminated char literal",
-                                       tok_line, tok_col)
+                                       tok_line, tok_col, start)
                     i += 1
                     kind = TokenKind.CHAR
                 elif i + 1 < n and source[i + 1] == "'":
@@ -285,7 +289,7 @@ class Lexer:
                     kind = _PUNCT1.get(ch)
                     if kind is None:
                         raise LexError(f"unexpected character {ch!r}",
-                                       line, col)
+                                       line, col, pos)
                     width = 1
             i = pos + width
             append(new(Token, (kind, source[start:i],

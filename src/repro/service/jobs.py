@@ -31,7 +31,8 @@ from ..engine.retry import SERVICE_RETRY, RetryPolicy
 from ..engine.spec import EngineSpec, SpecError, arm_label
 from ..engine.telemetry import (CacheQueried, CampaignObserver, CaseFinished,
                                 CaseStarted, EngineFinished, EngineStarted,
-                                MemberFinished, RetryAttempted, RoundFinished)
+                                MemberFinished, RetryAttempted, RoundFinished,
+                                case_finished_events)
 from ..engine.types import RepairRequest, run_request
 from ..miri.errors import UbKind
 
@@ -370,17 +371,9 @@ def _execute_repair_inner(config: JobConfig, *,
         report = run_request(engine, request, engine_label=label)
         if key is not None:
             cache.put(key, [report])
-    for member in report.members:
-        emit.on_member_done(MemberFinished(
-            engine=label, case=request.name, index=request.index,
-            member=member["member"], model=member["model"],
-            member_index=member["index"], passed=member["passed"],
-            seconds=member["seconds"], wave=member.get("wave", 0)))
-    emit.on_case_done(CaseFinished(engine=label, case=request.name,
-                                   index=request.index, total=1,
-                                   passed=report.passed,
-                                   acceptable=report.acceptable,
-                                   seconds=report.seconds))
+    for hook, event in case_finished_events(label, request.name,
+                                            request.index, 1, report):
+        getattr(emit, hook)(event)
     emit.on_round(RoundFinished(engine=label, round_index=0, rounds=1,
                                 completed=1, total=1,
                                 passed_so_far=int(report.passed)))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.check import apply_suggestion, check_source
 from repro.corpus import generate_sources, load_compile_dataset, load_dataset
+from repro.lang.span import line_col
 
 #: Codes whose first suggestion, applied repeatedly, must converge to a
 #: checks-clean program (the ``compile_fix`` engine relies on this).
@@ -63,6 +64,29 @@ class TestSpans:
         assert diag.code == "E0001"
         assert "unterminated block comment" in diag.message
         assert (diag.span.line, diag.span.col) == (1, 26)
+
+    @pytest.mark.parametrize("source, char, message", [
+        ("fn main() {\n    let x = 1 $ 2;\n}\n", "$",
+         "unexpected character"),
+        ('fn main() {\n    let s = "never closed;\n}\n', '"',
+         "unterminated string literal"),
+        ("fn main() {\n    let c = '\\x;\n}\n", "'",
+         "unterminated char literal"),
+        ("fn main() { let x = 1; }\n/* never closed", "/",
+         "unterminated block comment"),
+        ("fn main() {}\n  /* outer /* inner */ still open\n", "/",
+         "unterminated block comment"),
+    ], ids=["character", "string", "char", "comment", "nested-comment"])
+    def test_lex_error_span_covers_the_offending_character(self, source,
+                                                            char, message):
+        # The JSON offsets and line/col name the same character: the
+        # unexpected one, or the opener of what never closes.
+        [diag] = check_source(source).diagnostics
+        assert diag.code == "E0001" and message in diag.message
+        span = diag.to_dict()["span"]
+        assert source[span["start"]:span["end"]] == char
+        assert line_col(source, span["start"]) == \
+            (span["line"], span["col"])
 
 
 class TestSuggestionConvergence:

@@ -1,6 +1,8 @@
 """Campaign runner: determinism across worker counts, telemetry, JSON."""
 
+import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -96,24 +98,26 @@ class TestDeterminism:
                        sort_keys=True)
         assert serial.telemetry.to_dict() == pooled.telemetry.to_dict()
 
+    @pytest.mark.parametrize("isolation", ["per_case", "shared"])
     def test_warm_shared_pooled_campaign_spawns_no_pool(self, dataset,
                                                         tmp_path,
-                                                        monkeypatch):
-        # A fully cache-warm pooled shared campaign replays every arm from
-        # disk; leasing a worker pool for nothing is a bug.
+                                                        monkeypatch,
+                                                        isolation):
+        # A fully cache-warm pooled campaign replays every case from disk;
+        # leasing a worker pool (or submitting empty tasks) is a bug.
         from repro.engine import EXECUTOR_SERVICE, ResultCache
         small = Dataset(tuple(list(dataset)[:4]))
         arms = ["rustbrain?seed=3", "rustbrain?seed=11"]
         cache = ResultCache(tmp_path / "cache")
-        cold = Campaign(arms, small, isolation="shared", workers=2,
-                        executor="process", cache=cache).run()
+        cold = Campaign(arms, small, isolation=isolation, workers=2,
+                        shard_size=2, executor="process", cache=cache).run()
 
         def boom_lease(*_args, **_kwargs):
             raise AssertionError("a pool was leased for a warm campaign")
 
         monkeypatch.setattr(EXECUTOR_SERVICE, "lease", boom_lease)
-        warm = Campaign(arms, small, isolation="shared", workers=2,
-                        executor="process", cache=cache).run()
+        warm = Campaign(arms, small, isolation=isolation, workers=2,
+                        shard_size=2, executor="process", cache=cache).run()
         assert json.dumps([arm.to_dict() for arm in warm.arms],
                           sort_keys=True) == \
             json.dumps([arm.to_dict() for arm in cold.arms],
@@ -185,6 +189,84 @@ class TestTelemetry:
             completed = [event.completed for event in rounds]
             assert completed == sorted(completed)
             assert completed[-1] == len(arm.reports)
+
+
+class TestEventSequence:
+    """The completion loop emits one event sequence, whatever runs the
+    cases: in-process or the pool, live or from the cache."""
+
+    @staticmethod
+    def _events(run) -> list:
+        from repro.engine import RetryAttempted
+        return [(type(event).__name__, dataclasses.asdict(event))
+                for event in run.telemetry.events
+                if not isinstance(event, RetryAttempted)]
+
+    @pytest.mark.parametrize("state", ["cold", "partial", "warm"])
+    @pytest.mark.parametrize("isolation", ["per_case", "shared"])
+    def test_same_events_at_any_worker_count(self, dataset, tmp_path,
+                                             isolation, state):
+        from repro.engine import CacheQueried, ResultCache
+        twelve = Dataset(tuple(list(dataset)[:12]))
+        arms = ["llm_only", "rustbrain?kb=off"]
+        params = dict(seed=SEED, shard_size=4, isolation=isolation)
+        seeded = tmp_path / "seeded"
+        if state != "cold":
+            warmup = Campaign(arms, twelve, cache=ResultCache(seeded),
+                              **params).run()
+            if state == "partial":
+                # Keep 5 of the 12 per-case entries of each arm; a shared
+                # campaign keeps its first arm's whole-arm entry only.
+                first = warmup.arms[0].label
+                kept = {event.key for event in warmup.telemetry.events
+                        if isinstance(event, CacheQueried)
+                        and (event.index in (0, 2, 5, 6, 9)
+                             if isolation == "per_case"
+                             else event.engine == first)}
+                for entry in seeded.rglob("*.json"):
+                    if entry.stem not in kept:
+                        entry.unlink()
+        runs = {}
+        for workers in (1, 3):
+            directory = tmp_path / f"w{workers}"
+            if seeded.exists():
+                shutil.copytree(seeded, directory)
+            runs[workers] = Campaign(arms, twelve, workers=workers,
+                                     cache=ResultCache(directory),
+                                     **params).run()
+        hits, _misses = runs[1].telemetry.cache_counts()
+        expected = {"cold": 0, "warm": 24,
+                    "partial": 10 if isolation == "per_case" else 12}
+        assert hits == expected[state]
+        assert self._events(runs[1]) == self._events(runs[3])
+
+    @pytest.mark.parametrize("isolation", ["per_case", "shared"])
+    def test_in_process_repair_runs_between_its_case_events(
+            self, dataset, monkeypatch, isolation):
+        # perfbench times each case between on_case_start and
+        # on_case_done, so a one-worker campaign must run the repair there.
+        from repro.engine import campaign as campaign_module
+        seen = []
+        real_run_request = campaign_module.run_request
+
+        def recording_run_request(engine, request, **kwargs):
+            seen.append(("repair", request.index))
+            return real_run_request(engine, request, **kwargs)
+
+        class Recorder(CampaignObserver):
+            def on_case_start(self, event):
+                seen.append(("start", event.index))
+
+            def on_case_done(self, event):
+                seen.append(("done", event.index))
+
+        monkeypatch.setattr(campaign_module, "run_request",
+                            recording_run_request)
+        small = Dataset(tuple(list(dataset)[:5]))
+        Campaign(["llm_only"], small, seed=SEED, shard_size=2,
+                 isolation=isolation, observers=[Recorder()]).run()
+        assert seen == [(kind, index) for index in range(len(small))
+                        for kind in ("start", "repair", "done")]
 
 
 class TestSerialization:
@@ -338,15 +420,34 @@ class TestFaultedCampaigns:
         assert chaos["telemetry"] == clean["telemetry"]
         assert faulted.telemetry.to_dict() == serial_run.telemetry.to_dict()
 
+    @pytest.mark.parametrize("isolation", ["per_case", "shared"])
     def test_worker_crashes_redispatch_byte_identically(self, dataset,
-                                                        serial_run):
+                                                        serial_run,
+                                                        isolation):
         import json
-        from repro.engine import EXECUTOR_SERVICE
-        faulted = Campaign(ENGINES, dataset, seed=SEED, workers=2,
-                           shard_size=4, executor="process",
+        from repro.engine import EXECUTOR_SERVICE, RetryAttempted
+        if isolation == "per_case":
+            arms, data, seed, clean = ENGINES, dataset, SEED, serial_run
+        else:
+            arms = ["rustbrain?seed=3", "rustbrain?seed=11"]
+            data, seed = Dataset(tuple(list(dataset)[:6])), 7
+            clean = Campaign(arms, data, seed=seed, isolation=isolation,
+                             shard_size=4).run()
+        faulted = Campaign(arms, data, seed=seed, workers=2, shard_size=4,
+                           executor="process", isolation=isolation,
                            faults="worker:crash=0.4,seed=2").run()
         assert json.dumps(faulted.to_dict()["arms"], sort_keys=True) == \
-            json.dumps(serial_run.to_dict()["arms"], sort_keys=True)
+            json.dumps(clean.to_dict()["arms"], sort_keys=True)
+        assert faulted.telemetry.to_dict() == clean.telemetry.to_dict()
+        events = faulted.telemetry.events
+        assert any(isinstance(event, RetryAttempted)
+                   and event.site == "worker" for event in events)
+        # A re-dispatch re-runs tasks, never an arm's start or finish.
+        for arm in faulted.arms:
+            for kind in (EngineStarted, EngineFinished):
+                assert sum(isinstance(event, kind)
+                           and event.engine == arm.label
+                           for event in events) == 1
         assert EXECUTOR_SERVICE.budget.in_use == 0
 
     def test_on_retry_telemetry_is_observable(self, dataset):

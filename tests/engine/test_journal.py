@@ -127,18 +127,21 @@ class TestCampaignResume:
         params.update(kwargs)
         return Campaign(ENGINES, dataset, journal=journal, **params)
 
-    def test_resume_is_byte_identical(self, dataset, tmp_path):
-        baseline = self._campaign(dataset).run().to_dict()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_is_byte_identical(self, dataset, tmp_path, workers):
+        baseline = self._campaign(dataset, workers=workers).run().to_dict()
 
         # First run journals everything...
         first_dir = tmp_path / "j"
-        first = self._campaign(dataset, journal=str(first_dir))
+        first = self._campaign(dataset, journal=str(first_dir),
+                               workers=workers)
         first.run()
         assert first.journal.appended == len(dataset) * len(ENGINES)
         first.journal.close()
 
         # ...the "resumed" run replays it all and executes nothing new.
-        resumed = self._campaign(dataset, journal=str(first_dir))
+        resumed = self._campaign(dataset, journal=str(first_dir),
+                                 workers=workers)
         result = resumed.run()
         assert resumed.journal.appended == 0
         assert resumed.journal.replayed > 0
@@ -197,15 +200,17 @@ class TestCampaignResume:
         with pytest.raises(JournalError, match="fingerprint"):
             other.run()
 
-    def test_shared_isolation_journals_whole_arms(self, dataset, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_isolation_journals_whole_arms(self, dataset, tmp_path,
+                                                  workers):
         jdir = tmp_path / "j"
         first = Campaign(ENGINES, dataset, seed=SEED, isolation="shared",
-                         journal=str(jdir))
+                         workers=workers, journal=str(jdir))
         baseline = first.run().to_dict()
         assert first.journal.appended == len(ENGINES)
         first.journal.close()
         resumed = Campaign(ENGINES, dataset, seed=SEED, isolation="shared",
-                           journal=str(jdir))
+                           workers=workers, journal=str(jdir))
         result = resumed.run()
         assert resumed.journal.appended == 0
         assert resumed.journal.replayed == len(ENGINES)
