@@ -17,10 +17,11 @@ converts non-compiling sources into checks-clean, UB-free programs:
 * **corpus health** — the compile generator is byte-deterministic and
   the hand-written per-code corpus re-validates 100%;
 * **cache-epoch discipline** — ``CACHE_EPOCH`` must be {epoch}, the
-  epoch of the last change to engine behaviour (an unterminated block
-  comment became a lex error); a change that moves engine behaviour
-  bumps the epoch and this pin together, and a change that does not
-  leaves both alone (a needless bump invalidates every cached campaign).
+  epoch of the last change to engine behaviour (a lex error's COMPILE
+  report gained its span, and struct literal field values gained a
+  parent); a change that moves engine behaviour bumps the epoch and this
+  pin together, and a change that does not leaves both alone (a needless
+  bump invalidates every cached campaign).
 
 Two tiers share the checks: ``--quick`` (CI per-PR: {quick_n} generated
 cases on top of the hand-written set) and the default full tier
@@ -47,7 +48,7 @@ from repro.engine.cache import CACHE_EPOCH
 SEED = 13
 QUICK_N = 12
 FULL_N = 48
-EXPECTED_EPOCH = 6
+EXPECTED_EPOCH = 7
 __doc__ = __doc__.format(quick_n=QUICK_N, full_n=FULL_N,
                          epoch=EXPECTED_EPOCH)
 

@@ -322,17 +322,8 @@ class Borrowck:
         if isinstance(node, ast.Closure):
             self._visit_expr(node.body)
             return
-        for value in vars(node).values():
-            if isinstance(value, ast.Expr):
-                self._visit_expr(value)
-            elif type(value) is list or type(value) is tuple:
-                for entry in value:
-                    if isinstance(entry, ast.Expr):
-                        self._visit_expr(entry)
-                    elif type(entry) is tuple:
-                        for sub in entry:
-                            if isinstance(sub, ast.Expr):
-                                self._visit_expr(sub)
+        for child in ast.children(node):
+            self._visit_expr(child)
 
     def _check_assign_target(self,
                              node: ast.Assign | ast.CompoundAssign) -> None:

@@ -258,17 +258,8 @@ class NameResolver:
                 self.visit(arg)
             return
         # Generic recursion for every other expression shape.
-        for value in vars(node).values():
-            if isinstance(value, ast.Expr):
-                self.visit(value)
-            elif type(value) is list or type(value) is tuple:
-                for entry in value:
-                    if isinstance(entry, ast.Expr):
-                        self.visit(entry)
-                    elif type(entry) is tuple:
-                        for sub in entry:
-                            if isinstance(sub, ast.Expr):
-                                self.visit(sub)
+        for child in ast.children(node):
+            self.visit(child)
 
 
 def resolve_names(program: ast.Program) -> tuple[ItemTables,

@@ -37,15 +37,10 @@ from dataclasses import dataclass
 
 from ..lang import ast_nodes as ast
 from ..lang import types as ty
-from ..lang.ast_nodes import clone, walk
+from ..lang.ast_nodes import clone, replace_node, walk
 from ..lang.parser import parse_expr, parse_program
 from ..lang.printer import print_expr
-from ..lang.visitor import (
-    containing_block,
-    insert_before,
-    remove_stmt,
-    replace_node,
-)
+from ..lang.visitor import containing_block, insert_before, remove_stmt
 
 
 class FixKind(enum.Enum):
@@ -185,7 +180,7 @@ def replace_transmute_ref_with_cast(program):
         if isinstance(src_ty, ty.TyRef) and isinstance(dst_ty, ty.TyInt):
             arg_src = print_expr(call.args[0])
             new = _reparse(f"{arg_src} as *const {src_ty.target} as {dst_ty}")
-            replace_node(program, call.node_id, new)
+            replace_node(program, call, new)
             return program
     return None
 
@@ -203,7 +198,7 @@ def replace_transmute_bytes_with_from_le(program):
                 and isinstance(dst_ty, ty.TyInt)):
             arg_src = print_expr(call.args[0])
             new = _reparse(f"{dst_ty}::from_le_bytes({arg_src})")
-            replace_node(program, call.node_id, new)
+            replace_node(program, call, new)
             return program
     return None
 
@@ -220,7 +215,7 @@ def replace_transmute_int_with_comparison(program):
         if isinstance(src_ty, ty.TyInt) and isinstance(dst_ty, ty.TyBool):
             arg_src = print_expr(call.args[0])
             new = _reparse(f"{arg_src} != 0")
-            replace_node(program, call.node_id, new)
+            replace_node(program, call, new)
             return program
     return None
 
@@ -237,7 +232,7 @@ def replace_transmute_char_with_from_u32(program):
         if isinstance(src_ty, ty.TyInt) and isinstance(dst_ty, ty.TyChar):
             arg_src = print_expr(call.args[0])
             new = _reparse(f"char::from_u32({arg_src}).unwrap_or('?')")
-            replace_node(program, call.node_id, new)
+            replace_node(program, call, new)
             return program
     return None
 
@@ -252,7 +247,7 @@ def replace_transmute_fn_with_direct(program):
             continue
         src_ty, dst_ty = generics
         if isinstance(src_ty, ty.TyFn) and isinstance(dst_ty, ty.TyFn):
-            replace_node(program, call.node_id, clone(call.args[0]))
+            replace_node(program, call, clone(call.args[0]))
             return program
     return None
 
@@ -267,8 +262,8 @@ def replace_set_len_with_resize(program):
             recv = print_expr(node.receiver)
             count = print_expr(node.args[0])
             new = _reparse(f"{recv}.resize({count}, 0)")
-            replace_node(program, node.node_id, new)
-            _strip_redundant_unsafe(program, new.node_id)
+            replace_node(program, node, new)
+            _strip_redundant_unsafe(program, new)
             return program
     return None
 
@@ -283,7 +278,7 @@ def replace_get_unchecked_with_index(program):
             recv = print_expr(node.receiver)
             index = print_expr(node.args[0])
             new = _reparse(f"{recv}[{index}]")
-            replace_node(program, node.node_id, new)
+            replace_node(program, node, new)
             return program
     return None
 
@@ -296,7 +291,7 @@ def replace_uninit_with_zero_init(program):
         if _is_path_call(node, "uninit") and \
                 node.func.segments[0] == "MaybeUninit":
             new = _reparse("MaybeUninit::new(0)")
-            replace_node(program, node.node_id, new)
+            replace_node(program, node, new)
             return program
     return None
 
@@ -329,7 +324,7 @@ def replace_static_mut_with_atomic(program):
                 op = "fetch_add" if node.op == "+" else "fetch_sub"
                 value_src = print_expr(node.value)
                 new = _reparse(f"{name}.{op}({value_src}, Ordering::SeqCst)")
-                replace_node(program, node.node_id, new)
+                replace_node(program, node, new)
                 changed = True
                 break
             if isinstance(node, ast.Assign) and \
@@ -337,7 +332,7 @@ def replace_static_mut_with_atomic(program):
                     node.target.is_local and node.target.name == name:
                 value_src = print_expr(node.value)
                 new = _reparse(f"{name}.store({value_src}, Ordering::SeqCst)")
-                replace_node(program, node.node_id, new)
+                replace_node(program, node, new)
                 changed = True
                 break
     # Bare reads of the static become .load(...) — find paths not already
@@ -346,13 +341,13 @@ def replace_static_mut_with_atomic(program):
     for node in list(walk(program)):
         if isinstance(node, ast.PathExpr) and node.is_local \
                 and node.name == name:
-            parent = parents.get(node.node_id)
+            parent = parents.get(node)
             if isinstance(parent, ast.MethodCall) and parent.receiver is node:
                 continue
             if isinstance(parent, ast.StaticItem):
                 continue
             new = _reparse(f"{name}.load(Ordering::SeqCst)")
-            replace_node(program, node.node_id, new)
+            replace_node(program, node, new)
             parents = ast.parent_map(program)
     return program
 
@@ -365,7 +360,7 @@ def replace_zeroed_ref_with_local(program):
         if _is_path_call(node, "zeroed") and node.func.generic_args:
             target = node.func.generic_args[0]
             if isinstance(target, ty.TyRef):
-                location = containing_block(program, node.node_id)
+                location = containing_block(program, node)
                 if location is None:
                     continue
                 block, index = location
@@ -373,8 +368,7 @@ def replace_zeroed_ref_with_local(program):
                     f"fn __t() {{ let __zeroed_default: {target.target} = 0; }}"
                 ).fn("__t").body.stmts[0]
                 block.stmts.insert(index, zero_let)
-                replace_node(program, node.node_id,
-                             _reparse("&__zeroed_default"))
+                replace_node(program, node, _reparse("&__zeroed_default"))
                 return program
     return None
 
@@ -405,7 +399,7 @@ def replace_deref_with_original_value(program):
         origin = _original_place_of_addr(program, addr_let.init)
         if origin is None:
             continue
-        replace_node(program, node.node_id, _reparse(origin))
+        replace_node(program, node, _reparse(origin))
         return program
     return None
 
@@ -466,7 +460,7 @@ def guard_ptr_add_with_len_check(program):
             f"if {index} < {container}.len() "
             f"{{ unsafe {{ *{ptr}.add({index}) }} }} else {{ 0 }}"
         )
-        replace_node(program, node.node_id, guarded)
+        replace_node(program, node, guarded)
         return program
     return None
 
@@ -488,7 +482,7 @@ def guard_index_with_len_check(program):
             f"if {index} < {container}.len() {{ {container}[{index}] }} "
             f"else {{ 0 }}"
         )
-        replace_node(program, node.node_id, guarded)
+        replace_node(program, node, guarded)
         return program
     return None
 
@@ -508,7 +502,7 @@ def guard_nonnull_before_deref(program):
         ptr = print_expr(tail.operand)
         guarded = _reparse(
             f"if !{ptr}.is_null() {{ unsafe {{ *{ptr} }} }} else {{ 0 }}")
-        replace_node(program, node.node_id, guarded)
+        replace_node(program, node, guarded)
         return program
     return None
 
@@ -540,7 +534,7 @@ def guard_alignment_before_cast_read(program):
             f"if {ptr} as usize % {align} == 0 "
             f"{{ unsafe {{ *{ptr} }} }} else {{ 0 }}"
         )
-        replace_node(program, node.node_id, guarded)
+        replace_node(program, node, guarded)
         return program
     return None
 
@@ -553,13 +547,11 @@ def guard_layout_nonzero(program):
         if _is_path_call(node, "from_size_align") and node.args:
             size_arg = node.args[0]
             if isinstance(size_arg, ast.IntLit) and size_arg.value == 0:
-                replace_node(program, size_arg.node_id,
-                             _reparse("1"))
+                replace_node(program, size_arg, _reparse("1"))
                 return program
             if not isinstance(size_arg, ast.IntLit):
                 src = print_expr(size_arg)
-                replace_node(program, size_arg.node_id,
-                             _reparse(f"{src}.max(1)"))
+                replace_node(program, size_arg, _reparse(f"{src}.max(1)"))
                 return program
     return None
 
@@ -633,7 +625,7 @@ def remove_second_free(program):
                     frees.append(stmt)
     if len(frees) < 2:
         return None
-    remove_stmt(program, frees[-1].node_id)
+    remove_stmt(program, frees[-1])
     return program
 
 
@@ -756,13 +748,13 @@ def protect_with_mutex(program):
                     f"{{ let mut __g = {name}.lock(); "
                     f"*__g {node.op}= {value_src}; drop(__g); }}"
                 )
-                replace_node(program, node.node_id, new)
+                replace_node(program, node, new)
                 changed = True
                 break
     parents = ast.parent_map(program)
     for node in list(walk(program)):
         if isinstance(node, ast.PathExpr) and node.is_local and node.name == name:
-            parent = parents.get(node.node_id)
+            parent = parents.get(node)
             if isinstance(parent, ast.MethodCall) and parent.receiver is node:
                 continue
             if isinstance(parent, ast.StaticItem):
@@ -771,7 +763,7 @@ def protect_with_mutex(program):
                 f"{{ let __g = {name}.lock(); let __v = *__g; "
                 f"drop(__g); __v }}"
             )
-            replace_node(program, node.node_id, new)
+            replace_node(program, node, new)
             parents = ast.parent_map(program)
     return program
 
@@ -792,7 +784,7 @@ def write_before_assume_init(program):
             write_stmt = parse_program(
                 f"fn __t() {{ {name}.write(0); }}"
             ).fn("__t").body.stmts[0]
-            if insert_before(program, node.node_id, write_stmt):
+            if insert_before(program, node, write_stmt):
                 return program
     return None
 
@@ -815,8 +807,7 @@ def fix_dealloc_layout(program):
             if isinstance(layout_arg, ast.PathExpr) and \
                     layout_arg.name == alloc_layout_var:
                 continue
-            replace_node(program, layout_arg.node_id,
-                         _reparse(alloc_layout_var))
+            replace_node(program, layout_arg, _reparse(alloc_layout_var))
             return program
     return None
 
@@ -847,11 +838,11 @@ def call_with_actual_signature(program):
     binding_let = None
     node = binding
     while node is not None:
-        node = parents.get(node.node_id)
+        node = parents.get(node)
         if isinstance(node, ast.LetStmt):
             binding_let = node
             break
-    replace_node(program, binding.node_id, _reparse(target_fn.name))
+    replace_node(program, binding, _reparse(target_fn.name))
     if binding_let is None:
         return program
     binding_let.ty = None  # let inference pick up the real fn type
@@ -884,8 +875,7 @@ def read_unaligned_instead(program):
         if not (isinstance(init, ast.Cast) and isinstance(init.ty, ty.TyRawPtr)):
             continue
         ptr = print_expr(operand)
-        replace_node(program, node.node_id,
-                     _reparse(f"{ptr}.read_unaligned()"))
+        replace_node(program, node, _reparse(f"{ptr}.read_unaligned()"))
         return program
     return None
 
@@ -902,7 +892,7 @@ def correct_tail_dispatch(program):
                 isinstance(call.args[0], ast.PathExpr):
             inner = call.args[0]
             if program.fn(inner.name) is not None:
-                replace_node(program, call.node_id, _reparse(inner.name))
+                replace_node(program, call, _reparse(inner.name))
                 return program
     return None
 
@@ -933,8 +923,7 @@ def saturating_arith_on_extreme(program):
                       "*": "saturating_mul"}[node.op]
             left = print_expr(node.left)
             right = print_expr(node.right)
-            replace_node(program, node.node_id,
-                         _reparse(f"{left}.{method}({right})"))
+            replace_node(program, node, _reparse(f"{left}.{method}({right})"))
             return program
     return None
 
@@ -952,7 +941,7 @@ def guard_division_nonzero(program):
             op = node.op
             guarded = _reparse(
                 f"if {right} != 0 {{ {left} {op} {right} }} else {{ 0 }}")
-            replace_node(program, node.node_id, guarded)
+            replace_node(program, node, guarded)
             return program
     return None
 
@@ -986,7 +975,7 @@ def mask_shift_amount(program):
             left = print_expr(node.left)
             right = print_expr(node.right)
             masked = _reparse(f"{left} {node.op} ({right} % 32)")
-            replace_node(program, node.node_id, masked)
+            replace_node(program, node, masked)
             return program
     return None
 
@@ -1007,7 +996,7 @@ def read_owner_instead_of_raw(program):
         origin = _original_place_of_addr(program, let.init)
         if origin is None:
             continue
-        replace_node(program, node.node_id, _reparse(origin))
+        replace_node(program, node, _reparse(origin))
         return program
     return None
 
@@ -1036,7 +1025,7 @@ def read_written_union_field(program):
             written = writes[node.obj.name]
             if node.field != written:
                 replace_node(
-                    program, node.node_id,
+                    program, node,
                     _reparse(f"{node.obj.name}.{written}"))
                 return program
     return None
@@ -1057,7 +1046,7 @@ def write_zero_after_alloc(program):
         if not _is_path_call(inner, "alloc", "alloc_zeroed"):
             continue
         name = node.name
-        location = containing_block(program, node.node_id)
+        location = containing_block(program, node)
         if location is None:
             continue
         block, index = location
@@ -1246,7 +1235,7 @@ def replace_int_fn_transmute_with_fn(program):
             sig = ty.TyFn(tuple(p.ty for p in item.params),
                           item.ret or ty.UNIT, item.is_unsafe)
             if str(sig) == str(dst_ty):
-                replace_node(program, call.node_id, _reparse(item.name))
+                replace_node(program, call, _reparse(item.name))
                 return program
     return None
 
@@ -1377,7 +1366,7 @@ def _patch_int_literal(predicate):
             if isinstance(node, ast.IntLit):
                 if parents is None:
                     parents = ast.parent_map(program)
-                if predicate(node, parents.get(node.node_id)):
+                if predicate(node, parents.get(node)):
                     node.value = 1 if node.value == 0 else node.value - 1
                     return program
         return program
@@ -1417,7 +1406,7 @@ def _patch_shift_mask(program):
         if isinstance(node, ast.IntLit) and node.value == 32:
             if parents is None:
                 parents = ast.parent_map(program)
-            parent = parents.get(node.node_id)
+            parent = parents.get(node)
             if isinstance(parent, ast.Binary) and parent.op == "%":
                 node.value = 31
                 return program
@@ -1480,13 +1469,12 @@ SLOPPY_VARIANTS = {base: f"sloppy_{base}" for base in _SLOPPY_PATCHES}
 # Utilities used by rules
 
 
-def _strip_redundant_unsafe(program: ast.Program, inner_id: int) -> None:
+def _strip_redundant_unsafe(program: ast.Program, inner: ast.Expr) -> None:
     """After replacing an unsafe op with a safe call, drop a now-pure
     `unsafe { ... }` wrapper if the replacement is its only content."""
     for node in walk(program):
         if isinstance(node, ast.Block) and node.is_unsafe \
-                and not node.stmts and node.tail is not None \
-                and node.tail.node_id == inner_id:
+                and not node.stmts and node.tail is inner:
             node.is_unsafe = False
 
 

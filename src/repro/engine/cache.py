@@ -68,7 +68,12 @@ CACHE_SCHEMA = "repro.result-cache/1"
 #: stayed.
 #: Epoch 6: an unterminated block comment is a lex error, so engines see
 #: such an input as not compiling instead of dropping the comment's tail.
-CACHE_EPOCH = 6
+#: Epoch 7: the detector's COMPILE error for a lex error carries the lex
+#: error's span, so its rendered report (which engines put into prompts)
+#: gains a location line; and ``parent_map`` gives the values of struct
+#: literal fields their literal as parent, which can change where
+#: ``call_with_actual_signature`` finds the enclosing ``let``.
+CACHE_EPOCH = 7
 
 _SEP = "\x1f"  # unit separator: cannot appear in specs, names, or numbers
 

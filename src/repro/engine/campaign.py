@@ -443,10 +443,10 @@ class Campaign:
 
         Every task with misses is submitted under one lease; collection is
         in submission order.  A worker crash breaks the whole pool: the
-        next lease gets a replacement, and only the uncollected tasks are
+        results of tasks that finished before it broke are kept, the next
+        lease gets a replacement, and only the tasks without a result are
         re-dispatched, under the campaign's retry budget.  Re-execution is
-        safe because a task is a pure function of its arguments, so one
-        that finished but was never collected recomputes byte-identically.
+        safe because a task is a pure function of its arguments.
         """
         faults = self.fault_plan.to_string()
         shared = self.isolation == "shared"
@@ -455,30 +455,36 @@ class Campaign:
             return f"{arm.label}|arm" if shared \
                 else f"{arm.label}|shard{misses[0][0]}"
 
+        #: Task number -> reports of a task that finished on a pool that
+        #: broke before they were collected.
+        finished: dict[int, list] = {}
         position = attempt = 0
         while position < len(tasks):
             pending = {number: (arm, misses) for number, (arm, task)
                        in enumerate(tasks[position:], position)
-                       if (misses := _misses(task))}
+                       if number not in finished
+                       and (misses := _misses(task))}
             if not pending:
                 # Nothing left to run: the tail replays without a pool.
-                for _task in tasks[position:]:
-                    yield iter(())
+                for number in range(position, len(tasks)):
+                    yield iter(finished.pop(number, ()))
                 return
+            futures = {}
             try:
                 # Keyed by the campaign's worker count, not by how many
                 # tasks are pending, so repeated sweeps share one pool.
                 with EXECUTOR_SERVICE.lease("process", self.workers) as pool:
-                    futures = {number: pool.submit(
-                        _execute_task, arm.run_spec.to_string(), arm.label,
-                        self.model, self.temperature, arm.base_seed, misses,
-                        shared, faults, fault_key(arm, misses), attempt)
-                        for number, (arm, misses) in pending.items()}
+                    for number, (arm, misses) in pending.items():
+                        futures[number] = pool.submit(
+                            _execute_task, arm.run_spec.to_string(),
+                            arm.label, self.model, self.temperature,
+                            arm.base_seed, misses, shared, faults,
+                            fault_key(arm, misses), attempt)
                     try:
                         while position < len(tasks):
                             future = futures.get(position)
-                            reports = [] if future is None \
-                                else future.result()
+                            reports = finished.pop(position, []) \
+                                if future is None else future.result()
                             position += 1
                             yield iter(reports)
                     except BaseException:
@@ -488,10 +494,17 @@ class Campaign:
                 attempt += 1
                 if attempt >= self.retry.attempts:
                     raise
+                # Keep what finished before the pool broke.
+                for number, future in futures.items():
+                    if number >= position and future.done() \
+                            and not future.cancelled() \
+                            and future.exception() is None:
+                        finished[number] = future.result()
                 # Named after the first task to re-dispatch (the pool may
                 # also break while tasks are still being submitted).
-                key = fault_key(*pending[min(number for number in pending
-                                             if number >= position)])
+                key = fault_key(*pending[min(
+                    number for number in pending
+                    if number >= position and number not in finished)])
                 delay = self.retry.delay_for(attempt - 1, key=key)
                 # run() subscribes to RETRY_EVENTS, so this lands in the
                 # campaign's telemetry alongside LLM-level retries.

@@ -830,10 +830,10 @@ def parse_program(source: str) -> ast.Program:
     never leaks into later parses.  Read-only consumers — the detector,
     the checker, and the engines through
     :func:`~repro.core.view.program_view` — read the memo's tree itself
-    and pay for no clone.  Cloning reassigns node ids, which are only ever
-    used as within-tree identities, never compared across parses or
-    ordered.  Unparseable sources are not cached (``lru_cache`` does not
-    memoize raised exceptions); they stay rare and cheap to re-reject.
+    and pay for no clone.  A clone shares no node or list with the memo's
+    tree, so no two parses ever hold the same node.  Unparseable sources
+    are not cached (``lru_cache`` does not memoize raised exceptions);
+    they stay rare and cheap to re-reject.
     """
     return ast.clone(_parse_program_cached(source))
 

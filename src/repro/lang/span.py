@@ -16,9 +16,7 @@ class Span(NamedTuple):
     An immutable NamedTuple: assigning a field raises ``AttributeError``.
     Spans with equal fields are equal, and ``hash(span) == hash((start,
     end, line, col))``, as for the frozen dataclass a span used to be, so
-    no set or dict keyed by spans changes order.  Generic AST walkers test
-    container fields by exact type (``type(value) is tuple``) so that they
-    do not iterate a node's span as four ints.
+    no set or dict keyed by spans changes order.
     """
 
     start: int

@@ -33,7 +33,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..lang import ast_nodes as ast
+from ..lang.lexer import LexError
 from ..lang.parser import ParseError, _parse_program_cached
+from ..lang.span import DUMMY_SPAN
 from .errors import MiriError, MiriReport, UbKind, PAPER_CATEGORIES
 from .fingerprint import FINGERPRINT_VERSION, source_fingerprint
 from .interp import DEFAULT_FUEL, Interpreter, run_program
@@ -109,9 +111,10 @@ def _detect(source: str | ast.Program, collect: bool, max_errors: int,
                 UbKind.COMPILE, f"parse error: {err}", err.span))
             return report
         except Exception as err:  # lexer errors and friends
+            span = err.span if isinstance(err, LexError) else DUMMY_SPAN
             report = MiriReport()
             report.errors.append(MiriError(
-                UbKind.COMPILE, f"lex error: {err}"))
+                UbKind.COMPILE, f"lex error: {err}", span))
             return report
     else:
         program = source

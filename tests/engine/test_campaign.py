@@ -450,6 +450,61 @@ class TestFaultedCampaigns:
                            for event in events) == 1
         assert EXECUTOR_SERVICE.budget.in_use == 0
 
+    def test_worker_crash_redispatches_only_unfinished_tasks(
+            self, dataset, monkeypatch):
+        # Stub pools run each task in-process at submission.  The first
+        # pool completes tasks 0-2 and 4 and breaks on task 3; the second
+        # must receive task 3 alone, and the results stay byte-identical.
+        import contextlib
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+        from repro.engine import EXECUTOR_SERVICE
+
+        class StubPool:
+            def __init__(self, breaks_on=None):
+                self.breaks_on = breaks_on
+                self.fault_keys = []
+
+            def submit(self, fn, *args):
+                # args[8] is the task's fault key, named after its shard.
+                self.fault_keys.append(args[8])
+                future = Future()
+                if len(self.fault_keys) - 1 == self.breaks_on:
+                    future.set_exception(BrokenProcessPool("stub pool"))
+                else:
+                    future.set_result(fn(*args))
+                return future
+
+        class Collector(CampaignObserver):
+            def __init__(self):
+                self.retries = []
+
+            def on_retry(self, event):
+                self.retries.append(event)
+
+        pools = [StubPool(breaks_on=3), StubPool()]
+        leases = iter(pools)
+
+        @contextlib.contextmanager
+        def stub_lease(_kind, _workers):
+            yield next(leases)
+
+        small = Dataset(tuple(list(dataset)[:10]))
+        serial = Campaign(["llm_only"], small, seed=SEED, workers=1,
+                          shard_size=2).run()
+        monkeypatch.setattr(EXECUTOR_SERVICE, "lease", stub_lease)
+        collector = Collector()
+        pooled = Campaign(["llm_only"], small, seed=SEED, workers=2,
+                          shard_size=2, observers=[collector]).run()
+        first, second = pools
+        assert len(first.fault_keys) == 5
+        assert second.fault_keys == [first.fault_keys[3]]
+        assert [event.key for event in collector.retries] == \
+            [first.fault_keys[3]]
+        assert json.dumps(pooled.to_dict()["arms"], sort_keys=True) == \
+            json.dumps(serial.to_dict()["arms"], sort_keys=True)
+        assert pooled.telemetry.to_dict() == serial.telemetry.to_dict()
+
     def test_on_retry_telemetry_is_observable(self, dataset):
         from repro.engine import CampaignObserver
 

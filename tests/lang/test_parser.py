@@ -342,28 +342,11 @@ class TestErrors:
 
 
 class TestNodeInfrastructure:
-    def test_node_ids_unique(self):
-        prog = parse_program("fn main() { let x = 1 + 2; let y = x; }")
-        ids = [n.node_id for n in ast.walk(prog)]
-        assert len(ids) == len(set(ids))
-
-    def test_find_by_id(self):
-        prog = parse_program("fn main() { let x = 42; }")
-        lit = prog.fn("main").body.stmts[0].init
-        assert prog.find(lit.node_id) is lit
-
-    def test_clone_assigns_fresh_ids(self):
-        prog = parse_program("fn main() { let x = 1; }")
-        dup = ast.clone(prog)
-        original_ids = {n.node_id for n in ast.walk(prog)}
-        cloned_ids = {n.node_id for n in ast.walk(dup)}
-        assert original_ids.isdisjoint(cloned_ids)
-
     def test_parent_map(self):
         prog = parse_program("fn main() { let x = 1 + 2; }")
         parents = ast.parent_map(prog)
         binary = prog.fn("main").body.stmts[0].init
-        assert parents[binary.left.node_id] is binary
+        assert parents[binary.left] is binary
 
 
 class TestParseMemoization:
@@ -376,14 +359,6 @@ class TestParseMemoization:
         second = parse_program(src)
         assert first is not second
         assert print_program(first) == print_program(second)
-
-    def test_repeat_parse_fresh_node_ids(self):
-        src = "fn main() { let x = 1; }"
-        first = parse_program(src)
-        second = parse_program(src)
-        first_ids = {n.node_id for n in ast.walk(first)}
-        second_ids = {n.node_id for n in ast.walk(second)}
-        assert first_ids.isdisjoint(second_ids)
 
     def test_mutation_never_leaks_between_parses(self):
         from repro.lang.printer import print_program

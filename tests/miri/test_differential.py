@@ -14,7 +14,8 @@ compile-error corpus, and 500 seeded generator mutants) runs in both
 collect modes, and:
 
 * each memo tree hashes the same, over every node's fields including
-  spans and ``node_id``, before and after :func:`run_program`,
+  spans and which node object each child slot holds, before and after
+  :func:`run_program`,
   :func:`~repro.miri.source_fingerprint` and
   :func:`~repro.miri.fingerprint.renameable_names`;
 * ``detect_ub(text)`` on the shared tree equals a run on a private
@@ -94,11 +95,13 @@ REPAIR_SEED = 300
 
 
 def _shape(value, pending: list):
-    """A hashable picture of one field; child nodes stand in by id and are
-    queued so each node's own fields are hashed exactly once."""
+    """A hashable picture of one field; child nodes stand in by ``id()``
+    and are queued so each node's own fields are hashed exactly once.
+    Nodes are addressed by identity, so a child rebound to an equal copy
+    changes the picture."""
     if isinstance(value, ast.Node):
         pending.append(value)
-        return ("node", value.node_id)
+        return ("node", id(value))
     if isinstance(value, (list, tuple)):
         return (type(value).__name__,
                 tuple(_shape(item, pending) for item in value))
@@ -106,7 +109,7 @@ def _shape(value, pending: list):
 
 
 def tree_digest(program: ast.Program) -> str:
-    """sha256 over every node's attributes, spans and ``node_id``
+    """sha256 over every node's attributes, spans and child identities
     included — an attribute added, dropped, or rebound anywhere in the
     tree changes it."""
     digest = hashlib.sha256()
@@ -167,6 +170,13 @@ class TestInterpreterIsReadOnly:
         tree = ast.clone(_parse_program_cached(MEMORY_HEAVY))
         before = tree_digest(tree)
         tree.items[0].body.stmts[0].span = DUMMY_SPAN
+        assert tree_digest(tree) != before
+
+    def test_digest_sees_a_child_rebound_to_an_equal_copy(self):
+        tree = ast.clone(_parse_program_cached(MEMORY_HEAVY))
+        before = tree_digest(tree)
+        body = tree.items[0].body
+        body.stmts[0] = ast.clone(body.stmts[0])
         assert tree_digest(tree) != before
         tree = ast.clone(_parse_program_cached(MEMORY_HEAVY))
         before = tree_digest(tree)

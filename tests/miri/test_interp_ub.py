@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lang.span import line_col
 from repro.miri import detect_ub
 from repro.miri.errors import UbKind
 
@@ -497,6 +498,28 @@ class TestLexErrors:
         assert not report.passed
         assert report.errors[0].kind is UbKind.COMPILE
         assert "unterminated block comment" in report.errors[0].message
+
+    @pytest.mark.parametrize("source, char, message", [
+        ("fn main() {\n    let x = 1 $ 2;\n}\n", "$",
+         "unexpected character"),
+        ('fn main() {\n    let s = "never closed;\n}\n', '"',
+         "unterminated string literal"),
+        ("fn main() {\n    let c = '\\x;\n}\n", "'",
+         "unterminated char literal"),
+        ("fn main() { let x = 1; }\n/* never closed", "/",
+         "unterminated block comment"),
+        ("fn main() {}\n  /* outer /* inner */ still open\n", "/",
+         "unterminated block comment"),
+    ], ids=["character", "string", "char", "comment", "nested-comment"])
+    def test_lex_error_span_covers_the_offending_character(self, source,
+                                                            char, message):
+        # The lex error's own span: the unexpected character, or the
+        # opener of what never closes, as the checker's E0001 reports it.
+        [error] = detect_ub(source).errors
+        assert error.kind is UbKind.COMPILE and message in error.message
+        assert source[error.span.start:error.span.end] == char
+        assert line_col(source, error.span.start) == \
+            (error.span.line, error.span.col)
 
 
 class TestCollectMode:
